@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/segment_clocks.h"
+#include "graph/segment.h"
 #include "obs/metrics.h"
 
 namespace horus {
@@ -20,6 +21,7 @@ ClockDaemon::ClockDaemon(ExecutionGraph& graph, Options options)
 
 ClockDaemon::~ClockDaemon() {
   if (running_.load()) stop();
+  if (subscribed_) graph_.store().unsubscribe_edge_log();
 }
 
 void ClockDaemon::start() {
@@ -46,21 +48,27 @@ void ClockDaemon::stop() {
   tick();  // pick up anything that landed after the last periodic pass
 }
 
-std::vector<graph::NodeId> ClockDaemon::audit_locked() const {
-  const graph::GraphStore& store = graph_.store();
-  const auto& clocks = assigner_.clocks();
-  const auto n = static_cast<graph::NodeId>(store.node_count());
-  std::vector<graph::NodeId> stale_heads;
-  // Skip nodes in evicted segments: their adjacency is immutable since the
-  // spill was written (any edge write faults the segment back in first and
-  // dirties the spill), those edges passed this audit while resident, and
-  // assigning a downstream node reads predecessor clocks from the table —
-  // never the evicted payload. Without this, the periodic audit's
-  // out_edges_snapshot() walk reloads every spilled segment each tick and
-  // the resident budget can never hold. Heals still reassign_all(), which
-  // walks everything.
+void ClockDaemon::collect_candidates_locked(graph::NodeId mark,
+                                            graph::NodeId end) {
+  graph::GraphStore& store = graph_.store();
+  // Logged edges out of nodes at or above `mark` are dropped: those at
+  // [mark, end) are read from the node range below, those at end or above
+  // are unassigned and a later tick's node range reads them.
+  store.drain_edge_log(drained_);
+  for (const graph::EdgeEndpoints& e : drained_) {
+    if (e.from < mark) logged_.push_back(e);
+  }
+  candidates_ = logged_;
+
+  // Right after a restore the range starts at 0 and would fault every
+  // spilled segment back in. Nodes in evicted segments are skipped: their
+  // adjacency is immutable since the spill was written (any edge write
+  // faults the segment back in first), their clocks were checkpointed
+  // together with the graph, and assigning a downstream node reads
+  // predecessor clocks from the table — never the evicted payload.
   std::vector<std::pair<graph::NodeId, graph::NodeId>> evicted;  // [first,end)
-  if (const graph::SegmentManager* segments = store.segments()) {
+  if (const graph::SegmentManager* segments = store.segments();
+      restored_ && segments != nullptr) {
     for (const graph::SegmentInfo& info : segments->list()) {
       if (!info.resident) {
         evicted.emplace_back(info.first, info.first + info.count);
@@ -68,22 +76,34 @@ std::vector<graph::NodeId> ClockDaemon::audit_locked() const {
     }
   }
   auto gap = evicted.cbegin();  // ranges are contiguous and ascending
-  for (graph::NodeId v = 0; v < n; ++v) {
+  for (graph::NodeId v = mark; v < end; ++v) {
     while (gap != evicted.cend() && v >= gap->second) ++gap;
     if (gap != evicted.cend() && v >= gap->first) {
       v = gap->second - 1;  // resume after the evicted range
       continue;
     }
-    if (!clocks.assigned(v)) continue;
-    const auto lv = clocks.lamport(v);
     for (const graph::Edge& e : store.out_edges_snapshot(v)) {
-      if (!clocks.assigned(e.to)) continue;
-      // Both the Lamport and the full vector-clock invariant must hold on
-      // every edge; a pred assigned without one of its in-edges fails the
-      // VC check even when the Lamport values happen to line up.
-      if (lv >= clocks.lamport(e.to) || !clocks.vc_less(v, e.to)) {
-        stale_heads.push_back(e.to);
-      }
+      candidates_.push_back({v, e.to});
+    }
+  }
+}
+
+std::vector<graph::NodeId> ClockDaemon::audit_locked() const {
+  static obs::Counter& audited_total = obs::Registry::global().counter(
+      "horus_clock_audited_edges_total",
+      "Edges whose clock invariant a tick checked (new and logged edges)");
+  audited_total.inc(candidates_.size());
+  const auto& clocks = assigner_.clocks();
+  std::vector<graph::NodeId> stale_heads;
+  for (const graph::EdgeEndpoints& e : candidates_) {
+    // An unassigned head reads this edge when a later pass assigns it.
+    if (!clocks.assigned(e.from) || !clocks.assigned(e.to)) continue;
+    // Both the Lamport and the full vector-clock invariant must hold on
+    // every edge; a pred assigned without one of its in-edges fails the
+    // VC check even when the Lamport values happen to line up.
+    if (clocks.lamport(e.from) >= clocks.lamport(e.to) ||
+        !clocks.vc_less(e.from, e.to)) {
+      stale_heads.push_back(e.to);
     }
   }
   return stale_heads;
@@ -95,12 +115,16 @@ std::size_t ClockDaemon::tick() {
   // series, which is the semantics we want for process totals).
   static obs::Histogram& tick_seconds = obs::Registry::global().histogram(
       "horus_clock_tick_seconds",
-      "Logical-clock assignment pass latency (audit + assign/heal)");
+      "Logical-clock assignment pass latency (assign + audit + heal)");
   static obs::Counter& ticks_total = obs::Registry::global().counter(
       "horus_clock_ticks_total", "Assignment passes run");
   static obs::Counter& heals_total = obs::Registry::global().counter(
       "horus_clock_heals_total",
-      "Passes that found a violated edge invariant and reassigned all");
+      "Heal passes run over violated edge invariants (targeted repairs "
+      "plus full recomputes)");
+  static obs::Counter& full_reassigns_total = obs::Registry::global().counter(
+      "horus_clock_full_reassigns_total",
+      "Heals that targeted repair could not fix, recomputing every clock");
   static obs::Gauge& assigned_nodes = obs::Registry::global().gauge(
       "horus_clock_assigned_nodes", "Nodes with logical clocks assigned");
   static obs::Gauge& arena_bytes = obs::Registry::global().gauge(
@@ -111,38 +135,64 @@ std::size_t ClockDaemon::tick() {
   const std::unique_lock lock(mutex_);
   ticks_.fetch_add(1, std::memory_order_relaxed);
   ticks_total.inc();
+  if (!subscribed_) {
+    // Edges added before this point have tails below node_count(); the node
+    // mark is still 0, so this tick's node range reads them.
+    graph_.store().subscribe_edge_log();
+    subscribed_ = true;
+  }
+  const graph::NodeId mark = node_mark_;
   // Assign first, audit after: the post-assign audit sees both kinds of
   // staleness in one pass — causal pairs that landed after their endpoints
   // were assigned, and edges from a just-assigned node into an
   // earlier-assigned one (a replayed upstream event, say).
-  std::size_t assigned = assigner_.assign();
+  const std::size_t assigned = assigner_.assign();
   assigned_ += assigned;
-  bool healed = false;
+  collect_candidates_locked(mark, assigner_.assigned_prefix());
+
   // Heal the forward closure of violated edges only: a late edge can only
   // raise clocks downstream of its head, and the targeted repair — unlike
-  // reassign_all() — does not fault evicted segments back in. Under live
-  // ingest new pairs keep racing in between audit and repair, so retry the
-  // cheap pass a few times; only a persistently failing audit falls back to
-  // recomputing everything from scratch.
+  // reassign_all() — does not fault evicted segments back in. Repair
+  // recomputes the whole closure, so edges out of repaired nodes need no
+  // check of their own (unless positions contradict the edges, which repair
+  // reports); the re-audits cover the same candidate set.
+  std::vector<graph::NodeId> repaired;
   std::vector<graph::NodeId> stale = audit_locked();
   for (int attempt = 0; !stale.empty() && attempt < 3; ++attempt) {
     heals_.fetch_add(1, std::memory_order_relaxed);
     heals_total.inc();
-    healed = true;
-    assigner_.repair(stale);
+    LogicalClockAssigner::RepairResult repair = assigner_.repair(stale);
+    repaired.insert(repaired.end(), repair.recomputed.begin(),
+                    repair.recomputed.end());
+    if (repair.positions_contradicted) break;  // stale stays non-empty
     stale = audit_locked();
   }
-  if (!stale.empty()) {
+  const bool full = !stale.empty();
+  if (full) {
+    // reassign_all() reads in-edges while writers keep appending, so the
+    // marks stay where this tick started: the next tick audits the same
+    // logged edges and node range again against the rebuilt clocks.
     heals_.fetch_add(1, std::memory_order_relaxed);
     heals_total.inc();
-    healed = true;
+    full_reassigns_.fetch_add(1, std::memory_order_relaxed);
+    full_reassigns_total.inc();
     assigned_ = assigner_.reassign_all();
+  } else {
+    node_mark_ = assigner_.assigned_prefix();
+    logged_.clear();
+    restored_ = false;
   }
-  // Segmented store: refresh stale VC summaries from the new clocks. A heal
-  // can change VC components of nodes whose own properties never moved (the
-  // staleness hook only sees store writes), so it forces a full rebuild.
-  if (healed || assigned > 0) {
-    update_segment_summaries(graph_.store(), assigner_.clocks(), healed);
+  // Segmented store: refresh stale VC summaries from the new clocks. A
+  // repair can change VC components of nodes whose own properties never
+  // moved (the staleness hook only sees store writes), so their segments
+  // are marked stale explicitly; a full recompute rebuilds every summary.
+  graph::GraphStore& store = graph_.store();
+  if (graph::SegmentManager* segments = store.segments();
+      segments != nullptr && !full && !repaired.empty()) {
+    segments->mark_summaries_stale(repaired);
+  }
+  if (full || assigned > 0 || !repaired.empty()) {
+    update_segment_summaries(store, assigner_.clocks(), full);
   }
   assigned_nodes.set(static_cast<std::int64_t>(assigned_));
   arena_bytes.set(static_cast<std::int64_t>(assigner_.clocks().clock_bytes()));
@@ -180,6 +230,15 @@ void ClockDaemon::restore_clocks(ClockTable table) {
   }
   assigner_.restore(std::move(table));
   assigned_ = assigned;
+  // Edges logged so far are read again by the node range, which restarts
+  // at 0.
+  node_mark_ = 0;
+  logged_.clear();
+  if (subscribed_) {
+    graph_.store().drain_edge_log(drained_);
+    drained_ = {};
+  }
+  restored_ = true;
 }
 
 std::size_t ClockDaemon::assigned_nodes() const {

@@ -7,15 +7,29 @@
 // thread-safe causal queries over the portion assigned so far.
 //
 // Incremental assignment is only exact when every edge incident to the
-// events being assigned has already been persisted (the flush-horizon
-// discipline). The pipeline flushes nodes (intra stage) and edges (inter
-// stage) on independent timers, so a tick can race ahead of a causal pair:
-// an event may receive an in-edge *after* its clocks were computed. The
-// daemon therefore self-heals: each tick first audits every edge between
-// assigned events (Lamport must strictly increase); on any violation it
-// discards and recomputes all clocks. Audits are O(edges) — fine at
-// monitoring cadence — and violations are rare (they need an inter flush to
-// overtake two intra flushes).
+// events being assigned has already been persisted. The pipeline writes
+// nodes (intra stage) and cross-process edges (inter stage) on independent
+// timers, so under cross-process delivery a tick routinely races ahead of a
+// causal pair: an event receives an in-edge *after* its clocks were
+// computed, and nearly every tick has something to heal. Each tick
+// therefore audits the edges that can have gone stale since the previous
+// one, and only those:
+//  - the out-edges of the nodes this tick assigned (an upstream event can
+//    be assigned after the downstream event it points at), and
+//  - the edges added since the previous tick between already-assigned
+//    nodes, read from the store's edge-insertion log.
+// Every other edge between assigned nodes was checked by an earlier tick
+// and cannot have changed, so the audit costs O(new work), not O(history).
+// Violated edges seed LogicalClockAssigner::repair(), which recomputes the
+// forward closure of their heads; the same fixed candidate set is audited
+// again after each repair. Repair cannot renumber timeline positions, so
+// an edge that still fails after three repairs falls back to
+// reassign_all(); the tick's node mark and logged edges then stay where the
+// tick started, so the next tick checks them again against the rebuilt
+// clocks. The intra encoder writes each timeline batch together with its
+// program-order chain, which keeps positions in chain order and the
+// fallback out of normal operation. After restore_clocks() the node mark
+// is zero, so the first tick checks every edge once through the same path.
 #pragma once
 
 #include <atomic>
@@ -57,8 +71,10 @@ class ClockDaemon {
   /// Stops the background thread (runs one final tick).
   void stop();
 
-  /// Runs one assignment pass now (audit + incremental assign, or full
-  /// recompute after a detected violation). Returns nodes assigned.
+  /// Runs one assignment pass now: incremental assign, then the audit of
+  /// the edges that can have gone stale and a targeted repair of any
+  /// violation (a full recompute when repair cannot fix it). Returns nodes
+  /// assigned.
   std::size_t tick();
 
   // -- thread-safe queries over the currently assigned portion -------------
@@ -89,17 +105,29 @@ class ClockDaemon {
 
   /// Replaces the daemon's clock state with a restored table (blocks ticks
   /// and queries for the duration). The assigned-node count is recomputed
-  /// from the table itself.
+  /// from the table itself, and the next tick audits every edge once.
   void restore_clocks(ClockTable table);
 
   [[nodiscard]] std::uint64_t ticks() const noexcept { return ticks_.load(); }
+  /// Repair passes plus full recomputes run so far.
   [[nodiscard]] std::uint64_t heals() const noexcept { return heals_.load(); }
+  /// Heals that fell back to reassign_all().
+  [[nodiscard]] std::uint64_t full_reassigns() const noexcept {
+    return full_reassigns_.load();
+  }
   [[nodiscard]] std::size_t assigned_nodes() const;
 
  private:
-  /// Heads of edges between assigned nodes that violate the Lamport or
-  /// vector-clock invariant (stale incremental assignments); empty when the
-  /// clocks are consistent. The heads seed the targeted repair pass.
+  /// Fills candidates_ with this tick's audit set: the logged edges whose
+  /// tail lies below `mark` (kept in logged_ until a tick completes), then
+  /// the out-edges of the nodes in [mark, end). The log is drained before
+  /// the node range is read, so an edge added in between is in one of the
+  /// two.
+  void collect_candidates_locked(graph::NodeId mark, graph::NodeId end);
+
+  /// Heads of candidate edges that violate the Lamport or vector-clock
+  /// invariant (stale incremental assignments); empty when the clocks are
+  /// consistent. The heads seed the targeted repair pass.
   [[nodiscard]] std::vector<graph::NodeId> audit_locked() const;
 
   ExecutionGraph& graph_;
@@ -108,6 +136,19 @@ class ClockDaemon {
   mutable std::shared_mutex mutex_;
   LogicalClockAssigner assigner_;
   std::size_t assigned_ = 0;
+
+  /// Audit watermarks. Every node below node_mark_ had its out-edges
+  /// checked by a completed tick; logged_ holds the logged edges out of
+  /// those nodes that no completed tick has checked yet.
+  bool subscribed_ = false;  ///< to the store's edge-insertion log
+  graph::NodeId node_mark_ = 0;
+  std::vector<graph::EdgeEndpoints> logged_;
+  std::vector<graph::EdgeEndpoints> drained_;     ///< drain buffer (reused)
+  std::vector<graph::EdgeEndpoints> candidates_;  ///< this tick's audit set
+  /// Set by restore_clocks() until a tick completes: the node-range walk
+  /// then starts at 0 and skips evicted segments (see
+  /// collect_candidates_locked()).
+  bool restored_ = false;
 
   /// Periodic tick loop, spawned through the shared ThreadPool's service
   /// facility (see thread_pool.h).
@@ -118,6 +159,7 @@ class ClockDaemon {
   std::atomic<bool> stop_requested_{false};
   std::atomic<std::uint64_t> ticks_{0};
   std::atomic<std::uint64_t> heals_{0};
+  std::atomic<std::uint64_t> full_reassigns_{0};
 };
 
 }  // namespace horus

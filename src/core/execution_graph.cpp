@@ -31,9 +31,9 @@ graph::PropertyMap event_to_properties(const Event& event) {
 }
 
 graph::PropertyList ExecutionGraph::event_to_property_list(
-    const Event& event) const {
+    const Event& event, const std::string& timeline) const {
   graph::PropertyList props;
-  props.reserve(8);
+  props.reserve(9);
   props.emplace_back(keys_.event_id,
                      static_cast<std::int64_t>(value_of(event.id)));
   props.emplace_back(keys_.host, event.service);
@@ -53,6 +53,7 @@ graph::PropertyList ExecutionGraph::event_to_property_list(
   } else if (const auto* f = event.fsync()) {
     props.emplace_back(keys_.path, f->path);
   }
+  props.emplace_back(keys_.timeline, timeline);
   return props;
 }
 
@@ -99,11 +100,16 @@ graph::NodeId ExecutionGraph::add_event(const Event& event,
     auto it = node_by_event_.find(event.id);
     if (it != node_by_event_.end()) return it->second;
   }
-  graph::PropertyList props = event_to_property_list(event);
-  props.emplace_back(keys_.timeline, timeline);
-  const graph::NodeId node =
-      store_.add_node_typed(to_string(event.type), std::move(props));
+  const graph::NodeId node = store_.add_node_typed(
+      to_string(event.type), event_to_property_list(event, timeline));
   const std::lock_guard lock(mutex_);
+  register_event_locked(event, timeline, node);
+  return node;
+}
+
+void ExecutionGraph::register_event_locked(const Event& event,
+                                           const std::string& timeline,
+                                           graph::NodeId node) {
   node_by_event_.emplace(event.id, node);
   auto [tail_it, inserted] = tails_.try_emplace(
       timeline, TimelineTail{event.id, event.timestamp});
@@ -112,7 +118,6 @@ graph::NodeId ExecutionGraph::add_event(const Event& event,
                      event.id > tail_it->second.id))) {
     tail_it->second = TimelineTail{event.id, event.timestamp};
   }
-  return node;
 }
 
 std::optional<ExecutionGraph::TimelineTail> ExecutionGraph::timeline_tail(
@@ -129,6 +134,65 @@ std::uint64_t edge_key(graph::NodeId from, graph::NodeId to) {
          static_cast<std::uint64_t>(to);
 }
 }  // namespace
+
+void ExecutionGraph::add_timeline_batch(const std::string& timeline,
+                                        std::optional<EventId> tail,
+                                        std::span<const Event> events) {
+  // Resolve each event to its stored node (a replay) or to a slot among the
+  // batch's new nodes; chain edges between two stored nodes are deduplicated
+  // here, edges touching a new node are new by construction.
+  std::vector<graph::GraphStore::BatchRef> refs(events.size());
+  std::vector<graph::GraphStore::NodeInsert> nodes;
+  std::vector<graph::GraphStore::BatchEdge> edges;
+  std::vector<std::size_t> new_events;  // index into `events` per new node
+  {
+    const std::lock_guard lock(mutex_);
+    std::optional<graph::GraphStore::BatchRef> prev;
+    if (tail) {
+      auto it = node_by_event_.find(*tail);
+      if (it == node_by_event_.end()) {
+        throw std::logic_error("execution graph: intra edge on unknown event");
+      }
+      prev = graph::GraphStore::BatchRef{it->second, false};
+    }
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (auto it = node_by_event_.find(events[i].id);
+          it != node_by_event_.end()) {
+        refs[i] = {it->second, false};
+      } else {
+        refs[i] = {static_cast<graph::NodeId>(new_events.size()), true};
+        new_events.push_back(i);
+      }
+      if (prev && (prev->batch_local || refs[i].batch_local ||
+                   intra_edges_seen_.insert(edge_key(prev->id, refs[i].id))
+                       .second)) {
+        edges.push_back({*prev, refs[i]});
+      }
+      prev = refs[i];
+    }
+  }
+  nodes.reserve(new_events.size());
+  for (const std::size_t i : new_events) {
+    nodes.push_back({to_string(events[i].type),
+                     event_to_property_list(events[i], timeline)});
+  }
+  const graph::NodeId first =
+      store_.add_batch(std::move(nodes), edges, kIntraEdgeType);
+
+  const std::lock_guard lock(mutex_);
+  for (std::size_t k = 0; k < new_events.size(); ++k) {
+    register_event_locked(events[new_events[k]], timeline,
+                          first + static_cast<graph::NodeId>(k));
+  }
+  const auto id_of = [first](graph::GraphStore::BatchRef ref) {
+    return ref.batch_local ? first + ref.id : ref.id;
+  };
+  for (const graph::GraphStore::BatchEdge& e : edges) {
+    if (e.from.batch_local || e.to.batch_local) {
+      intra_edges_seen_.insert(edge_key(id_of(e.from), id_of(e.to)));
+    }
+  }
+}
 
 void ExecutionGraph::add_intra_edge(EventId from, EventId to) {
   const auto a = node_of(from);

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -79,6 +80,17 @@ class ExecutionGraph {
   ///        (stored as the `timeline` property the clock assigner groups by).
   graph::NodeId add_event(const Event& event, const std::string& timeline);
 
+  /// Persists one timeline flush: the events (in program order) as nodes,
+  /// chained by program-order edges from `tail` (the timeline's previously
+  /// persisted event, if any) through each event in turn. Nodes and edges
+  /// land in one store write, so a concurrent clock pass never sees the new
+  /// events without their chain and cannot number them out of order.
+  /// Idempotent like add_event()/add_intra_edge(): events that already have
+  /// nodes and chain edges already stored are not written again.
+  void add_timeline_batch(const std::string& timeline,
+                          std::optional<EventId> tail,
+                          std::span<const Event> events);
+
   /// Program-order edge between two already-persisted events. Idempotent
   /// per (from, to): a crashed-and-restarted encoder replaying a window of
   /// the queue may re-derive edges it already stored, and must not grow the
@@ -136,10 +148,15 @@ class ExecutionGraph {
   void reindex_loaded_store();
 
  private:
-  /// Typed property bag for an event (hot write path — no string interning
-  /// per event).
+  /// Typed property bag for an event, timeline included (hot write path —
+  /// no string interning per event).
   [[nodiscard]] graph::PropertyList event_to_property_list(
-      const Event& event) const;
+      const Event& event, const std::string& timeline) const;
+
+  /// Records a freshly persisted event in the id map and its timeline's
+  /// tail. Requires mutex_.
+  void register_event_locked(const Event& event, const std::string& timeline,
+                             graph::NodeId node);
 
   graph::GraphStore store_;
   ExecutionGraphKeys keys_;

@@ -65,18 +65,8 @@ void IntraProcessEncoder::flush() {
   for (auto& [key, timeline] : timelines_) {
     if (timeline.buffer.empty()) continue;
 
-    // Persist nodes first, then the program-order chain.
-    for (const Event& event : timeline.buffer) {
-      graph_.add_event(event, key);
-    }
-    for (std::size_t i = 0; i < timeline.buffer.size(); ++i) {
-      const Event& event = timeline.buffer[i];
-      if (i == 0) {
-        if (timeline.tail) graph_.add_intra_edge(*timeline.tail, event.id);
-      } else {
-        graph_.add_intra_edge(timeline.buffer[i - 1].id, event.id);
-      }
-    }
+    // Nodes and program-order chain in one write (see add_timeline_batch).
+    graph_.add_timeline_batch(key, timeline.tail, timeline.buffer);
     timeline.tail = timeline.buffer.back().id;
     timeline.tail_timestamp = timeline.buffer.back().timestamp;
     flushed_ += timeline.buffer.size();

@@ -8,9 +8,9 @@
 // causally-consistent timeline, provided all tracers on a host share the
 // same monotonic clock (the paper's stated requirement).
 //
-// On flush, buffered events are persisted as graph nodes, chained to the
-// timeline's previously flushed tail with "NEXT" (program-order) edges, and
-// forwarded downstream to the inter-process stage. The flush cadence is the
+// On flush, each timeline's buffered events are persisted as graph nodes,
+// chained to the timeline's previously flushed tail with "NEXT"
+// (program-order) edges in the same store write, and forwarded downstream to the inter-process stage. The flush cadence is the
 // tunable the paper discusses: long intervals = fewer database round trips
 // but more memory and staler data; short intervals = the reverse.
 #pragma once

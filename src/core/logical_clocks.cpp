@@ -5,7 +5,6 @@
 #include <ostream>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/crc32.h"
 #include "common/error.h"
@@ -638,6 +637,35 @@ ClockTable ClockTable::load(std::istream& in) {
 
 // ---- assigner ---------------------------------------------------------------
 
+namespace {
+
+/// Successor lists of the edges a Kahn pass counted into its in-degrees, in
+/// CSR form over the pass's dense node indexes. Releasing successors from
+/// these lists (not from the live adjacency) decrements exactly the counted
+/// edges, however many edges writers add while the pass runs.
+class SuccessorLists {
+ public:
+  SuccessorLists(std::size_t nodes,
+                 const std::vector<std::pair<std::uint32_t, std::uint32_t>>&
+                     edges)  // (pred, succ)
+      : begin_(nodes + 1, 0), succ_(edges.size()) {
+    for (const auto& [pred, succ] : edges) ++begin_[pred + 1];
+    for (std::size_t i = 1; i <= nodes; ++i) begin_[i] += begin_[i - 1];
+    std::vector<std::uint32_t> cursor(begin_.begin(), begin_.end() - 1);
+    for (const auto& [pred, succ] : edges) succ_[cursor[pred]++] = succ;
+  }
+
+  [[nodiscard]] std::span<const std::uint32_t> of(std::uint32_t node) const {
+    return {succ_.data() + begin_[node], begin_[node + 1] - begin_[node]};
+  }
+
+ private:
+  std::vector<std::uint32_t> begin_;
+  std::vector<std::uint32_t> succ_;
+};
+
+}  // namespace
+
 LogicalClockAssigner::LogicalClockAssigner(ExecutionGraph& graph,
                                            Options options)
     : graph_(graph),
@@ -670,9 +698,8 @@ void LogicalClockAssigner::merge_pred_vc(
     const ClockTable::VcSlot s = table_.vc_slots_[pred];
     const std::int32_t* pv = table_.vc_arena_.data() + s.offset;
     if (s.len > acc.size()) acc.resize(s.len, 0);
-    for (std::uint32_t i = 0; i < s.len; ++i) {
-      if (pv[i] > acc[i]) acc[i] = pv[i];
-    }
+    std::int32_t* out = acc.data();
+    for (std::uint32_t i = 0; i < s.len; ++i) out[i] = std::max(out[i], pv[i]);
     return;
   }
   table_.walk_sparse(
@@ -722,23 +749,44 @@ std::size_t LogicalClockAssigner::assign() {
     position.resize(n, 0);
   }
 
-  // Collect the unassigned region and its internal in-degrees.
+  // Collect the unassigned region [first, n): each node's in-edge sources
+  // and the in-region edges the Kahn pass below orders by. Every node below
+  // `first` already holds its clocks. The pass works on this snapshot only:
+  // an edge a concurrent writer adds meanwhile must not release a node
+  // early (its counted predecessors would then be numbered after it), and
+  // the clock daemon audits such edges on its next tick anyway.
+  const graph::NodeId first = std::min(first_unassigned_, n);
+  const std::size_t region = n - first;
+  std::vector<std::int32_t> indegree(region, 0);
+  std::vector<std::uint32_t> preds_begin(region + 1, 0);
+  std::vector<graph::NodeId> preds;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> counted;  // (pred, v)
   std::vector<graph::NodeId> frontier;
-  std::vector<std::int32_t> indegree(n, 0);
   std::size_t unassigned = 0;
-  for (graph::NodeId v = 0; v < n; ++v) {
+  for (graph::NodeId v = first; v < n; ++v) {
+    const std::uint32_t i = v - first;
+    preds_begin[i] = static_cast<std::uint32_t>(preds.size());
     if (table_.assigned(v)) continue;
     ++unassigned;
-    std::int32_t deg = 0;
     for (const graph::Edge& e : store.in_edges_snapshot(v)) {
       // in_edges store the source in .to; sources appended concurrently
-      // (>= n) are ignored — the audit on the next pass heals if needed.
-      if (e.to < n && !table_.assigned(e.to)) ++deg;
+      // (>= n) are ignored — the clock daemon checks their out-edges once
+      // a later pass assigns them.
+      if (e.to >= n) continue;
+      preds.push_back(e.to);
+      if (!table_.assigned(e.to)) {
+        ++indegree[i];
+        counted.emplace_back(e.to - first, i);
+      }
     }
-    indegree[v] = deg;
-    if (deg == 0) frontier.push_back(v);
+    if (indegree[i] == 0) frontier.push_back(v);
   }
-  if (unassigned == 0) return 0;
+  preds_begin[region] = static_cast<std::uint32_t>(preds.size());
+  if (unassigned == 0) {
+    first_unassigned_ = std::max(first_unassigned_, n);
+    return 0;
+  }
+  const SuccessorLists successors(region, counted);
 
   std::size_t processed = 0;
   std::vector<std::int32_t> v_clock;     // scratch, reused across nodes
@@ -747,6 +795,7 @@ std::size_t LogicalClockAssigner::assign() {
     const graph::NodeId v = frontier.back();
     frontier.pop_back();
     ++processed;
+    const std::uint32_t i = v - first;
 
     // Timeline identity: an integer read from the interned timeline column —
     // no string materialisation per node.
@@ -761,9 +810,8 @@ std::size_t LogicalClockAssigner::assign() {
     // Vector clock: component-wise max over predecessors, then tick own
     // component to this event's position in its timeline.
     v_clock.clear();
-    for (const graph::Edge& e : store.in_edges_snapshot(v)) {
-      const graph::NodeId pred = e.to;
-      if (pred >= n) continue;  // concurrently appended; healed next pass
+    for (std::uint32_t k = preds_begin[i]; k < preds_begin[i + 1]; ++k) {
+      const graph::NodeId pred = preds[k];
       lc = std::max(lc, lamport[pred] + 1);
       merge_pred_vc(pred, v_clock);
     }
@@ -785,12 +833,8 @@ std::size_t LogicalClockAssigner::assign() {
       graph_.store().set_property(v, keys.lamport, lc);
     }
 
-    for (const graph::Edge& e : store.out_edges_snapshot(v)) {
-      // Nodes appended by a concurrent writer after this pass started are
-      // outside `indegree`; they are picked up by the next pass.
-      if (e.to >= n) continue;
-      if (table_.assigned(e.to)) continue;
-      if (--indegree[e.to] == 0) frontier.push_back(e.to);
+    for (const std::uint32_t next : successors.of(i)) {
+      if (--indegree[next] == 0) frontier.push_back(first + next);
     }
   }
 
@@ -799,16 +843,18 @@ std::size_t LogicalClockAssigner::assign() {
         "clock assigner: cycle detected in causal graph (" +
         std::to_string(unassigned - processed) + " nodes unreachable)");
   }
+  first_unassigned_ = n;
   return processed;
 }
 
 std::size_t LogicalClockAssigner::reassign_all() {
   table_ = ClockTable{options_.mode, options_.keyframe_interval};
   timeline_of_pool_.clear();  // table timeline ids were dropped with the table
+  first_unassigned_ = 0;
   return assign();
 }
 
-std::size_t LogicalClockAssigner::repair(
+LogicalClockAssigner::RepairResult LogicalClockAssigner::repair(
     std::span<const graph::NodeId> dirty_roots) {
   const graph::GraphStore& store = graph_.store();
   const ExecutionGraphKeys& keys = graph_.keys();
@@ -819,57 +865,78 @@ std::size_t LogicalClockAssigner::repair(
   // predecessors anyway. The closure follows every out-edge — including the
   // intra chain — so in sparse mode it contains every delta descendant of a
   // raised clock: each rewritten delta's base is final before the rewrite.
-  std::unordered_set<graph::NodeId> dirty;
+  std::unordered_map<graph::NodeId, std::uint32_t> index;  // dense per node
+  std::vector<graph::NodeId> dirty;
   std::vector<graph::NodeId> stack;
-  for (const graph::NodeId r : dirty_roots) {
-    if (r < n && table_.assigned(r) && dirty.insert(r).second) {
-      stack.push_back(r);
+  const auto mark_dirty = [&](graph::NodeId v) {
+    if (index.try_emplace(v, static_cast<std::uint32_t>(dirty.size())).second) {
+      dirty.push_back(v);
+      stack.push_back(v);
     }
+  };
+  for (const graph::NodeId r : dirty_roots) {
+    if (r < n && table_.assigned(r)) mark_dirty(r);
   }
   while (!stack.empty()) {
     const graph::NodeId v = stack.back();
     stack.pop_back();
     for (const graph::Edge& e : store.out_edges_snapshot(v)) {
-      if (e.to >= n || !table_.assigned(e.to)) continue;
-      if (dirty.insert(e.to).second) stack.push_back(e.to);
+      if (e.to < n && table_.assigned(e.to)) mark_dirty(e.to);
     }
   }
-  if (dirty.empty()) return 0;
+  if (dirty.empty()) return {};
 
   // Kahn over the dirty subgraph: in-degrees count dirty predecessors only;
-  // clean predecessors already hold their final clocks.
-  std::unordered_map<graph::NodeId, std::int32_t> indegree;
-  std::vector<graph::NodeId> frontier;
-  for (const graph::NodeId v : dirty) {
-    std::int32_t deg = 0;
-    for (const graph::Edge& e : store.in_edges_snapshot(v)) {
-      if (e.to < n && dirty.contains(e.to)) ++deg;
+  // clean predecessors already hold their final clocks. As in assign(),
+  // only the counted edges release successors, and the recomputation reads
+  // the predecessors listed here; an edge added later is audited by the
+  // next tick.
+  std::vector<std::int32_t> indegree(dirty.size(), 0);
+  std::vector<std::uint32_t> preds_begin(dirty.size() + 1, 0);
+  std::vector<graph::NodeId> preds;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> counted;  // (pred, v)
+  std::vector<std::uint32_t> frontier;
+  for (std::uint32_t i = 0; i < dirty.size(); ++i) {
+    preds_begin[i] = static_cast<std::uint32_t>(preds.size());
+    for (const graph::Edge& e : store.in_edges_snapshot(dirty[i])) {
+      if (e.to >= n || !table_.assigned(e.to)) continue;
+      preds.push_back(e.to);
+      if (const auto it = index.find(e.to); it != index.end()) {
+        ++indegree[i];
+        counted.emplace_back(it->second, i);
+      }
     }
-    indegree[v] = deg;
-    if (deg == 0) frontier.push_back(v);
+    if (indegree[i] == 0) frontier.push_back(i);
   }
+  preds_begin[dirty.size()] = static_cast<std::uint32_t>(preds.size());
+  const SuccessorLists successors(dirty.size(), counted);
 
-  std::size_t processed = 0;
+  RepairResult result;
+  std::vector<graph::NodeId>& processed = result.recomputed;
+  processed.reserve(dirty.size());
   std::vector<std::int32_t> v_clock;     // scratch, reused across nodes
   std::vector<std::int32_t> tp_scratch;  // sparse delta base, reused
   while (!frontier.empty()) {
-    const graph::NodeId v = frontier.back();
+    const std::uint32_t i = frontier.back();
     frontier.pop_back();
-    ++processed;
+    const graph::NodeId v = dirty[i];
+    processed.push_back(v);
 
     // Same recurrences as assign(): the canonical values are unique, so
     // recomputing them over final predecessor clocks reproduces exactly what
     // a from-scratch pass would produce (HealsAfterLateEdge asserts this).
     std::int64_t lc = 1;
     v_clock.clear();
-    for (const graph::Edge& e : store.in_edges_snapshot(v)) {
-      const graph::NodeId pred = e.to;
-      if (pred >= n || !table_.assigned(pred)) continue;
+    for (std::uint32_t k = preds_begin[i]; k < preds_begin[i + 1]; ++k) {
+      const graph::NodeId pred = preds[k];
       lc = std::max(lc, table_.lamport_[pred] + 1);
       merge_pred_vc(pred, v_clock);
     }
     const auto t = static_cast<std::size_t>(table_.timeline_of_[v]);
     if (t >= v_clock.size()) v_clock.resize(t + 1, 0);
+    // The own component must exceed every predecessor's; otherwise a later
+    // event of v's timeline is in v's past and no in-place value is right.
+    if (v_clock[t] >= table_.position_[v]) result.positions_contradicted = true;
     v_clock[t] = table_.position_[v];
 
     if (lc != table_.lamport_[v]) {
@@ -911,21 +978,18 @@ std::size_t LogicalClockAssigner::repair(
       }
     }
 
-    for (const graph::Edge& e : store.out_edges_snapshot(v)) {
-      if (e.to >= n) continue;
-      const auto it = indegree.find(e.to);
-      if (it != indegree.end() && --it->second == 0) {
-        frontier.push_back(e.to);
-      }
+    for (const std::uint32_t next : successors.of(i)) {
+      if (--indegree[next] == 0) frontier.push_back(next);
     }
   }
 
-  if (processed != dirty.size()) {
+  if (processed.size() != dirty.size()) {
     throw std::logic_error(
         "clock assigner: cycle detected in repair region (" +
-        std::to_string(dirty.size() - processed) + " nodes unreachable)");
+        std::to_string(dirty.size() - processed.size()) +
+        " nodes unreachable)");
   }
-  return processed;
+  return result;
 }
 
 void LogicalClockAssigner::restore(ClockTable table) {
@@ -933,6 +997,8 @@ void LogicalClockAssigner::restore(ClockTable table) {
   // The restored table's timeline ids were minted against the pre-crash
   // store; the cache must be rebuilt lazily against the current interning.
   timeline_of_pool_.clear();
+  first_unassigned_ = 0;
+  while (table_.assigned(first_unassigned_)) ++first_unassigned_;
 }
 
 }  // namespace horus

@@ -38,7 +38,8 @@
 // recomputes from scratch for such offline scenarios, and repair() heals the
 // forward closure of a late edge in place. Delta encoding stays sound under
 // repair() because the intra encoder chains consecutive timeline events with
-// an explicit edge: a timeline predecessor is always a graph predecessor, so
+// an explicit edge, written in the same store write as the events: a
+// timeline predecessor is always a graph predecessor, so
 // the repair closure contains every delta descendant of a raised clock and
 // the Kahn order rewrites each delta against its already-final base.
 #pragma once
@@ -303,6 +304,8 @@ class LogicalClockAssigner {
 
   /// Assigns clocks to every node added since the previous call (or to all
   /// nodes on the first call). Returns the number of newly assigned nodes.
+  /// The scan starts at assigned_prefix(), so its cost follows the new
+  /// nodes, not the graph size.
   ///
   /// Throws std::logic_error if the unassigned region contains a cycle
   /// (which would mean the encoders produced a non-DAG).
@@ -317,14 +320,25 @@ class LogicalClockAssigner {
   /// daemon's audit). Recomputes Lamport and vector clocks for the forward
   /// causal closure of the roots only — new constraints can only *raise*
   /// clocks, and only downstream of the late edge, so every node outside the
-  /// closure keeps its canonical value. Timelines and positions never change
-  /// (they derive from per-timeline log order, which edges cannot alter).
-  /// Returns the number of nodes recomputed.
+  /// closure keeps its canonical value. Timelines and positions never change:
+  /// the intra encoder writes a timeline's new events together with their
+  /// program-order chain, so assign() numbers them in chain order. A late
+  /// edge that puts a later position of a timeline into the causal past of
+  /// an earlier one contradicts the numbering and cannot be repaired;
+  /// RepairResult::positions_contradicted reports it, and the caller must
+  /// reassign_all().
   ///
   /// The closure walks out-edges of already-assigned nodes, which in a
   /// segmented store are the recently sealed / active segments — unlike
   /// reassign_all() it does not fault evicted segments back in.
-  std::size_t repair(std::span<const graph::NodeId> dirty_roots);
+  struct RepairResult {
+    /// The nodes whose clocks were recomputed, in topological order.
+    std::vector<graph::NodeId> recomputed;
+    /// Some recomputed node has a later position of its own timeline in its
+    /// causal past; its clocks cannot be made consistent in place.
+    bool positions_contradicted = false;
+  };
+  RepairResult repair(std::span<const graph::NodeId> dirty_roots);
 
   /// Replaces all assigner state with a table previously produced by
   /// ClockTable::save()/load(). The table's own storage mode wins (a
@@ -336,6 +350,12 @@ class LogicalClockAssigner {
   void restore(ClockTable table);
 
   [[nodiscard]] const ClockTable& clocks() const noexcept { return table_; }
+
+  /// Every node below this id holds clocks: the end of the region the last
+  /// assign() covered, or the restored table's assigned prefix.
+  [[nodiscard]] graph::NodeId assigned_prefix() const noexcept {
+    return first_unassigned_;
+  }
 
  private:
   /// Table timeline id for a store-interned timeline pool id (interning the
@@ -356,6 +376,7 @@ class LogicalClockAssigner {
   Options options_;
   ClockTable table_;
   std::vector<std::int32_t> timeline_of_pool_;  ///< pool id -> table id cache
+  graph::NodeId first_unassigned_ = 0;  ///< see assigned_prefix()
 };
 
 }  // namespace horus

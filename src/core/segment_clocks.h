@@ -48,8 +48,9 @@ inline graph::SegmentManager& enable_segments(ExecutionGraph& graph,
 }
 
 /// Refreshes stale VC summaries from `clocks` (no-op when the store is not
-/// segmented). `force` rebuilds fresh ones too — used after a heal, where
-/// every clock may have changed without any store write. Returns summaries
+/// segmented). `force` rebuilds fresh ones too — used after a full clock
+/// recompute, where every clock may have changed without any store write
+/// (a targeted repair marks its segments stale instead). Returns summaries
 /// rebuilt.
 inline std::size_t update_segment_summaries(graph::GraphStore& store,
                                             const ClockTable& clocks,

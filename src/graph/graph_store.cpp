@@ -386,8 +386,7 @@ NodeId GraphStore::add_nodes_batch(std::string_view label,
   return first;
 }
 
-void GraphStore::add_edge(NodeId from, NodeId to, std::string_view type) {
-  const std::unique_lock lock(mutex_);
+void GraphStore::add_edge_locked(NodeId from, NodeId to, EdgeTypeId type) {
   if (from >= nodes_.size()) bad_node(from);
   if (to >= nodes_.size()) bad_node(to);
   if (segments_ != nullptr) {
@@ -395,11 +394,73 @@ void GraphStore::add_edge(NodeId from, NodeId to, std::string_view type) {
     segments_->ensure_resident_locked(from);
     segments_->ensure_resident_locked(to);
   }
-  const EdgeTypeId tid = intern_edge_type(type);
-  nodes_[from].out.push_back(Edge{to, tid});
-  nodes_[to].in.push_back(Edge{from, tid});
+  nodes_[from].out.push_back(Edge{to, type});
+  nodes_[to].in.push_back(Edge{from, type});
   ++edge_count_;
+  if (edge_log_subscribed_) edge_log_.push_back(EdgeEndpoints{from, to});
   if (segments_ != nullptr) segments_->on_edge_added_locked(from, to);
+}
+
+void GraphStore::add_edge(NodeId from, NodeId to, std::string_view type) {
+  const std::unique_lock lock(mutex_);
+  add_edge_locked(from, to, intern_edge_type(type));
+}
+
+NodeId GraphStore::add_batch(std::vector<NodeInsert> nodes,
+                             std::span<const BatchEdge> edges,
+                             std::string_view edge_type) {
+  const std::unique_lock lock(mutex_);
+  const auto first = static_cast<NodeId>(nodes_.size());
+  // Validate everything before the first write, so a bad batch leaves the
+  // store untouched.
+  for (const NodeInsert& node : nodes) {
+    for (const auto& [key, value] : node.properties) {
+      if (key >= prop_keys_.size()) {
+        throw std::out_of_range("graph: unknown property key id " +
+                                std::to_string(key));
+      }
+    }
+  }
+  const auto resolve = [&](BatchRef ref) {
+    if (!ref.batch_local) {
+      if (ref.id >= first) bad_node(ref.id);
+      return ref.id;
+    }
+    if (ref.id >= nodes.size()) bad_node(first + ref.id);
+    return first + ref.id;
+  };
+  for (const BatchEdge& e : edges) {
+    (void)resolve(e.from);
+    (void)resolve(e.to);
+  }
+  for (NodeInsert& node : nodes) {
+    add_node_locked(node.label, std::move(node.properties));
+  }
+  const EdgeTypeId tid = intern_edge_type(edge_type);
+  for (const BatchEdge& e : edges) {
+    add_edge_locked(resolve(e.from), resolve(e.to), tid);
+  }
+  return first;
+}
+
+void GraphStore::subscribe_edge_log() {
+  const std::unique_lock lock(mutex_);
+  if (edge_log_subscribed_) {
+    throw std::logic_error("graph: edge log already has a subscriber");
+  }
+  edge_log_subscribed_ = true;
+}
+
+void GraphStore::unsubscribe_edge_log() {
+  const std::unique_lock lock(mutex_);
+  edge_log_subscribed_ = false;
+  std::vector<EdgeEndpoints>().swap(edge_log_);
+}
+
+void GraphStore::drain_edge_log(std::vector<EdgeEndpoints>& out) {
+  out.clear();
+  const std::unique_lock lock(mutex_);
+  out.swap(edge_log_);
 }
 
 void GraphStore::set_property(NodeId node, std::string_view key,

@@ -56,6 +56,13 @@ struct Edge {
   [[nodiscard]] bool operator==(const Edge&) const = default;
 };
 
+/// Both endpoints of one directed edge, as recorded by the edge-insertion
+/// log (GraphStore::subscribe_edge_log).
+struct EdgeEndpoints {
+  NodeId from = kNoNode;
+  NodeId to = kNoNode;
+};
+
 class GraphStore;
 
 /// Dense read-only view over a direct column (e.g. lamportLogicalTime,
@@ -198,9 +205,50 @@ class GraphStore {
   void set_property(NodeId node, PropKeyId key, PropertyValue value);
 
   /// Batch insert of nodes sharing a label; returns first assigned id
-  /// (ids are consecutive). Used by the encoders' periodic flushes.
+  /// (ids are consecutive).
   NodeId add_nodes_batch(std::string_view label,
                          std::vector<PropertyMap> batch);
+
+  /// One node of add_batch(); `label` must stay valid for the call.
+  struct NodeInsert {
+    std::string_view label;
+    PropertyList properties;
+  };
+  /// An add_batch() edge endpoint: an existing node id, or (batch_local)
+  /// the index of a node inserted by the same batch.
+  struct BatchRef {
+    NodeId id = kNoNode;
+    bool batch_local = false;
+  };
+  struct BatchEdge {
+    BatchRef from;
+    BatchRef to;
+  };
+
+  /// Appends `nodes` (consecutive ids; returns the first) and then `edges`,
+  /// all of type `edge_type`, under one exclusive lock: a concurrent reader
+  /// sees the whole batch or none of it. The intra encoder writes each
+  /// timeline flush this way, so no reader ever sees a timeline's new
+  /// events without the program-order chain between them.
+  NodeId add_batch(std::vector<NodeInsert> nodes,
+                   std::span<const BatchEdge> edges,
+                   std::string_view edge_type);
+
+  // ---- edge-insertion log ----------------------------------------------------
+
+  /// Starts recording the endpoints of every edge added from now on, for
+  /// one incremental consumer (the clock daemon). Off by default: a store
+  /// nobody subscribed to records nothing. Throws std::logic_error when a
+  /// consumer is already subscribed.
+  void subscribe_edge_log();
+
+  /// Stops recording and frees the unread entries.
+  void unsubscribe_edge_log();
+
+  /// Replaces `out` with the edges recorded since the previous drain and
+  /// drops them from the log; `out`'s old buffer becomes the log's, so two
+  /// alternating buffers sized by one drain interval serve the whole run.
+  void drain_edge_log(std::vector<EdgeEndpoints>& out);
 
   // ---- index management ----------------------------------------------------
 
@@ -372,6 +420,7 @@ class GraphStore {
   void index_erase_locked(NodeId node, PropKeyId key,
                           const PropertyValue& value);
   NodeId add_node_locked(std::string_view label, PropertyList properties);
+  void add_edge_locked(NodeId from, NodeId to, EdgeTypeId type);
   void set_property_locked(NodeId node, PropKeyId key, PropertyValue value);
   /// Pointer to the node's value for `key` (column or bag), or nullptr.
   /// For interned columns the returned pointer aliases the pool entry.
@@ -390,6 +439,11 @@ class GraphStore {
 
   std::vector<NodeRecord> nodes_;
   std::size_t edge_count_ = 0;
+
+  /// Edge-insertion log: recorded only while a consumer is subscribed, and
+  /// holds only what it has not drained yet.
+  bool edge_log_subscribed_ = false;
+  std::vector<EdgeEndpoints> edge_log_;
 
   std::vector<std::string> labels_;
   std::unordered_map<std::string, std::uint32_t, StringHash, std::equal_to<>>

@@ -915,6 +915,17 @@ void SegmentManager::build_summary_locked(SegmentId seg,
   }
 }
 
+void SegmentManager::mark_summaries_stale(std::span<const NodeId> nodes) {
+  const std::unique_lock lock(store_.mutex_);
+  for (const NodeId node : nodes) {
+    const SegmentId seg = segment_of_locked(node);
+    if (seg == kNoSegment) continue;
+    Segment& s = segments_[seg];
+    ++s.mut_gen;  // a build racing this mark must not commit
+    s.summary.fresh = false;
+  }
+}
+
 std::size_t SegmentManager::update_summaries(const ClockLookup& clocks,
                                              bool force, ThreadPool* pool,
                                              unsigned threads) {

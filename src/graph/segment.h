@@ -267,6 +267,12 @@ class SegmentManager {
                                ThreadPool* pool = nullptr,
                                unsigned threads = 1);
 
+  /// Marks stale the summaries of the segments holding `nodes` — for clock
+  /// changes the store never saw as a write (a targeted repair can raise a
+  /// node's vector clock and leave its Lamport property alone). The next
+  /// update_summaries() rebuilds exactly those.
+  void mark_summaries_stale(std::span<const NodeId> nodes);
+
   /// Master switch for all summary-based skipping (benches A/B pruning).
   void set_pruning(bool on) noexcept {
     pruning_.store(on, std::memory_order_relaxed);

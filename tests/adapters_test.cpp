@@ -87,7 +87,12 @@ TEST(LogrusAdapterTest, RejectsIncompleteLines) {
 class FileSourceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "horus_file_source_test";
+    // One directory per test, so parallel runs (ctest -j) never share it.
+    dir_ = std::filesystem::temp_directory_path() /
+           ("horus_file_source_test-" +
+            std::string(::testing::UnitTest::GetInstance()
+                            ->current_test_info()
+                            ->name()));
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

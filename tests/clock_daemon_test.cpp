@@ -1,7 +1,14 @@
 #include "core/clock_daemon.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
+#include <optional>
+#include <random>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,10 +18,17 @@
 #include "gen/synthetic.h"
 #include "gen/topology.h"
 #include "graph/segment.h"
+#include "graph/traversal.h"
+#include "obs/metrics.h"
 #include "queue/broker.h"
 
 namespace horus {
 namespace {
+
+obs::Counter& audited_edges_total() {
+  return obs::Registry::global().counter("horus_clock_audited_edges_total",
+                                         "");
+}
 
 TEST(ClockDaemonTest, TickAssignsIncrementally) {
   ExecutionGraph graph;
@@ -178,16 +192,270 @@ TEST(ClockDaemonTest, OnlineMonitoringOverLivePipeline) {
   daemon.tick();  // final pass over the fully flushed graph
 
   EXPECT_EQ(daemon.assigned_nodes(), events.size());
+  // Timeline batches land with their program-order chain, so positions
+  // follow the chain and every heal is a targeted repair.
+  EXPECT_EQ(daemon.full_reassigns(), 0u);
 
   // The final clocks satisfy all invariants (self-healing converged).
-  LogicalClockAssigner fresh(graph, {.write_lamport_property = false});
-  fresh.assign();
   const auto n = static_cast<graph::NodeId>(graph.store().node_count());
-  for (graph::NodeId v = 0; v < n; v += 7) {
+  for (graph::NodeId v = 0; v < n; ++v) {
     for (const graph::Edge& e : graph.store().out_edges(v)) {
-      EXPECT_TRUE(daemon.happens_before(v, e.to));
+      ASSERT_TRUE(daemon.happens_before(v, e.to)) << v << " -> " << e.to;
     }
   }
+}
+
+// The audit follows new work: a tick that adds k edges to a graph holding H
+// edges checks O(k) edges — exactly k when nothing needs healing.
+TEST(ClockDaemonTest, AuditCostFollowsNewEdgesNotHistory) {
+  ExecutionGraph graph;
+  IntraProcessEncoder intra(graph, {});
+  InterProcessEncoder inter(graph);
+  gen::ClientServerOptions options;
+  options.num_events = 10000;
+  const auto events = gen::client_server_events(options);
+  const auto ingest = [&](std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) {
+      intra.on_event(events[i]);
+      inter.on_event(events[i]);
+    }
+    intra.flush();
+    inter.flush();
+  };
+
+  ClockDaemon daemon(graph);
+  ingest(0, 8000);
+  daemon.tick();
+  const std::size_t history = graph.store().edge_count();
+  ASSERT_GT(history, 10000u);
+  for (std::size_t from = 8000; from < events.size(); from += 100) {
+    const std::uint64_t audited_before = audited_edges_total().value();
+    const std::size_t edges_before = graph.store().edge_count();
+    const std::uint64_t heals_before = daemon.heals();
+    ingest(from, from + 100);
+    daemon.tick();
+    const std::size_t k = graph.store().edge_count() - edges_before;
+    const std::uint64_t audited = audited_edges_total().value() - audited_before;
+    ASSERT_GT(k, 0u);
+    // One audit plus at most three re-audits of the same candidate set.
+    EXPECT_LE(audited, 4 * k) << "tick at event " << from;
+    if (daemon.heals() == heals_before) {
+      EXPECT_EQ(audited, k) << "tick at event " << from;
+    }
+    EXPECT_LT(audited, history / 10);
+  }
+  EXPECT_EQ(daemon.assigned_nodes(), events.size());
+}
+
+// ---- adversarial ingest against brute-force reachability -------------------
+
+/// What the seeded schedules exercised, summed over all of them.
+struct ScheduleCoverage {
+  std::uint64_t late_inter = 0;      ///< inter edge between assigned events
+  std::uint64_t late_chain = 0;      ///< chain edge between assigned events
+  std::uint64_t into_assigned = 0;   ///< unassigned tail -> assigned head
+  std::uint64_t full_reassigns = 0;  ///< reassign_all() fallbacks
+  std::uint64_t restores = 0;        ///< restore_clocks() mid-stream
+};
+
+/// One random DAG over a few timelines, inserted node by node and edge by
+/// edge in a shuffled order through the non-atomic ExecutionGraph calls,
+/// with ticks and clock restores at random points. After every tick, Q1
+/// over all pairs must agree with brute-force reachability over the edges
+/// present: every reachable pair is reported (no stale clock survives a
+/// tick), and when a's timeline is a complete chain so far, every reported
+/// pair is reachable. (A timeline whose chain edges are still missing has
+/// concurrent events the position test cannot tell apart; that is a limit
+/// of vector clocks over partial timelines, not of the daemon.)
+///
+/// Sparse lanes store each clock as a delta against its timeline
+/// predecessor, which is sound only when that predecessor is a graph
+/// predecessor (logical_clocks.h) — what the intra encoder's timeline
+/// batches guarantee. Sparse schedules therefore write each event in
+/// timeline order together with its chain edge, as the encoder does; the
+/// shuffled cross-timeline order and the late inter edges stay. Flat
+/// schedules also insert a timeline's events out of order and its chain
+/// edges late.
+void run_adversarial_schedule(std::uint64_t seed, ClockMode mode,
+                              ScheduleCoverage& coverage) {
+  const bool chain_with_node = mode == ClockMode::kSparse;
+  std::mt19937_64 rng(seed);
+  const auto chance = [&](double p) {
+    return std::uniform_real_distribution<double>(0, 1)(rng) < p;
+  };
+  const auto below = [&](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+
+  // The DAG: events in a global causal order, each on a random timeline,
+  // chained per timeline, plus inter edges from earlier events on other
+  // timelines.
+  const std::size_t timelines = 2 + below(3);
+  const std::size_t n = 12 + below(20);
+  std::vector<std::size_t> timeline_of(n);
+  std::vector<std::vector<std::size_t>> chains(timelines);
+  struct DagEdge {
+    std::size_t from;
+    std::size_t to;
+    bool chain;
+  };
+  std::vector<DagEdge> dag;
+  for (std::size_t e = 0; e < n; ++e) {
+    const std::size_t t = below(timelines);
+    timeline_of[e] = t;
+    if (!chains[t].empty()) dag.push_back({chains[t].back(), e, true});
+    chains[t].push_back(e);
+    for (int k = 0; k < 2 && e > 0; ++k) {
+      const std::size_t from = below(e);
+      if (timeline_of[from] != t && chance(0.4)) dag.push_back({from, e, false});
+    }
+  }
+
+  // Insertion order: the causal order with local shuffles, so an upstream
+  // event can land after downstream events were assigned.
+  std::vector<std::pair<std::size_t, std::size_t>> keyed;
+  for (std::size_t e = 0; e < n; ++e) keyed.emplace_back(e + below(5), e);
+  std::sort(keyed.begin(), keyed.end());
+  if (chain_with_node) {
+    // Keep each timeline's slots in the shuffled order but fill them with
+    // its events in chain order.
+    std::vector<std::size_t> next(timelines, 0);
+    for (auto& [key, e] : keyed) {
+      const std::size_t t = timeline_of[e];
+      e = chains[t][next[t]++];
+    }
+  }
+
+  ExecutionGraph graph;
+  ClockDaemon daemon(graph, {.mode = mode});
+  std::vector<std::optional<graph::NodeId>> node(n);
+  std::vector<bool> inserted(dag.size(), false);
+  std::vector<std::size_t> deferred;  // dag indexes held back
+  std::vector<std::string> saved_tables;
+
+  const auto assigned = [&](graph::NodeId v) {
+    return daemon.with_clocks(
+        [v](const ClockTable& clocks) { return clocks.assigned(v); });
+  };
+  const auto insert_edge = [&](std::size_t i) {
+    const DagEdge& d = dag[i];
+    const graph::NodeId u = *node[d.from];
+    const graph::NodeId w = *node[d.to];
+    if (assigned(u) && assigned(w)) {
+      ++(d.chain ? coverage.late_chain : coverage.late_inter);
+    } else if (!assigned(u) && assigned(w)) {
+      ++coverage.into_assigned;
+    }
+    if (d.chain) {
+      graph.add_intra_edge(EventId{d.from + 1}, EventId{d.to + 1});
+    } else {
+      graph.add_inter_edge(EventId{d.from + 1}, EventId{d.to + 1});
+    }
+    inserted[i] = true;
+  };
+  const auto chain_complete = [&](std::size_t t) {
+    for (std::size_t k = 1; k < chains[t].size(); ++k) {
+      if (!node[chains[t][k]]) continue;
+      if (!node[chains[t][k - 1]]) return false;
+    }
+    for (std::size_t i = 0; i < dag.size(); ++i) {
+      if (dag[i].chain && timeline_of[dag[i].to] == t && node[dag[i].to] &&
+          !inserted[i]) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const auto tick_and_check = [&] {
+    daemon.tick();
+    std::string table;
+    daemon.with_clocks([&](const ClockTable& clocks) {
+      std::ostringstream out;
+      clocks.save(out);
+      table = out.str();
+    });
+    saved_tables.push_back(std::move(table));
+    const graph::GraphStore& store = graph.store();
+    ASSERT_EQ(daemon.assigned_nodes(), store.node_count());
+    for (std::size_t a = 0; a < n; ++a) {
+      if (!node[a]) continue;
+      const bool exact = chain_complete(timeline_of[a]);
+      for (std::size_t b = 0; b < n; ++b) {
+        if (a == b || !node[b]) continue;
+        const bool reach = graph::reachable(store, *node[a], *node[b]).reachable;
+        const bool q1 = daemon.happens_before(*node[a], *node[b]);
+        if (reach) {
+          ASSERT_TRUE(q1) << "seed " << seed << ": stale clocks, " << a
+                          << " -> " << b << " reachable but Q1 false";
+        } else if (exact) {
+          ASSERT_FALSE(q1) << "seed " << seed << ": " << a << " -> " << b
+                           << " unreachable but Q1 true";
+        }
+      }
+    }
+  };
+  const auto maybe_restore = [&] {
+    if (saved_tables.empty() || !chance(0.08)) return;
+    // A table from the latest tick or from an earlier one: restore must
+    // bring back consistent clocks either way.
+    std::istringstream in(saved_tables[below(saved_tables.size())]);
+    daemon.restore_clocks(ClockTable::load(in));
+    ++coverage.restores;
+  };
+
+  for (const auto& [key, e] : keyed) {
+    Event event;
+    event.id = EventId{e + 1};
+    event.type = EventType::kLog;
+    event.thread = ThreadRef{"host" + std::to_string(timeline_of[e]), 1, 1};
+    event.service = event.thread.host;
+    event.timestamp = static_cast<TimeNs>(e);
+    event.payload = LogPayload{"m", "test"};
+    node[e] = graph.add_event(event, "tl" + std::to_string(timeline_of[e]));
+    for (std::size_t i = 0; i < dag.size(); ++i) {
+      if (inserted[i] || !node[dag[i].from] || !node[dag[i].to] ||
+          std::find(deferred.begin(), deferred.end(), i) != deferred.end()) {
+        continue;
+      }
+      if ((chain_with_node && dag[i].chain) || chance(0.5)) {
+        insert_edge(i);
+      } else {
+        deferred.push_back(i);
+      }
+    }
+    if (!deferred.empty() && chance(0.4)) {
+      const std::size_t pick = below(deferred.size());
+      insert_edge(deferred[pick]);
+      deferred.erase(deferred.begin() + static_cast<std::ptrdiff_t>(pick));
+    }
+    if (chance(0.35)) {
+      tick_and_check();
+      if (::testing::Test::HasFatalFailure()) return;
+      maybe_restore();
+    }
+  }
+  for (const std::size_t i : deferred) insert_edge(i);
+  tick_and_check();
+  if (::testing::Test::HasFatalFailure()) return;
+  // Everything landed: every timeline is a complete chain, so Q1 must now
+  // equal reachability on every pair.
+  for (std::size_t t = 0; t < timelines; ++t) ASSERT_TRUE(chain_complete(t));
+  coverage.full_reassigns += daemon.full_reassigns();
+}
+
+TEST(ClockDaemonTest, AdversarialIngestMatchesReachability) {
+  ScheduleCoverage coverage;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    run_adversarial_schedule(
+        seed, seed % 2 == 0 ? ClockMode::kSparse : ClockMode::kFlat, coverage);
+    if (HasFatalFailure()) return;
+  }
+  // The schedules hit every kind of staleness the audit must catch.
+  EXPECT_GT(coverage.late_inter, 0u);
+  EXPECT_GT(coverage.late_chain, 0u);
+  EXPECT_GT(coverage.into_assigned, 0u);
+  EXPECT_GT(coverage.full_reassigns, 0u);
+  EXPECT_GT(coverage.restores, 0u);
 }
 
 TEST(ClockDaemonTest, QueriesBeforeAssignmentAreSafe) {

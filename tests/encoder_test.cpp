@@ -109,6 +109,35 @@ TEST(IntraEncoderTest, DuplicateEventIdsPersistOnce) {
   EXPECT_EQ(graph.store().node_count(), 1u);
 }
 
+// A timeline flush is one store write, and replaying it (a restarted
+// encoder re-deriving a window it already stored) writes nothing new.
+TEST(IntraEncoderTest, TimelineBatchIsOneIdempotentWrite) {
+  ExecutionGraph graph;
+  const ThreadRef t{"h", 1, 1};
+  const std::vector<Event> first = {log_event(1, t, 10), log_event(2, t, 20)};
+  graph.add_timeline_batch("h/1", std::nullopt, first);
+  EXPECT_EQ(graph.store().node_count(), 2u);
+  EXPECT_EQ(graph.store().edge_count(), 1u);
+
+  // Replayed event 2, then a new event 3 chained after it.
+  const std::vector<Event> second = {log_event(2, t, 20), log_event(3, t, 30)};
+  graph.add_timeline_batch("h/1", EventId{1}, second);
+  EXPECT_EQ(graph.store().node_count(), 3u);
+  EXPECT_EQ(graph.store().edge_count(), 2u);
+  graph.add_timeline_batch("h/1", EventId{1}, second);
+  EXPECT_EQ(graph.store().edge_count(), 2u);
+  const auto tail = graph.timeline_tail("h/1");
+  ASSERT_TRUE(tail.has_value());
+  EXPECT_EQ(tail->id, EventId{3});
+  const graph::NodeId n2 = *graph.node_of(EventId{2});
+  const graph::NodeId n3 = *graph.node_of(EventId{3});
+  ASSERT_EQ(graph.store().out_edges(n2).size(), 1u);
+  EXPECT_EQ(graph.store().out_edges(n2)[0].to, n3);
+
+  EXPECT_THROW(graph.add_timeline_batch("h/1", EventId{99}, second),
+               std::logic_error);
+}
+
 Event net_event(std::uint64_t id, EventType type, const ThreadRef& thread,
                 TimeNs ts, const ChannelId& channel, std::uint64_t offset,
                 std::uint64_t size) {

@@ -1,5 +1,8 @@
 #include "graph/graph_store.h"
 
+#include <stdexcept>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace horus::graph {
@@ -147,6 +150,67 @@ TEST(GraphStoreTest, SetPropertyAddsNewKey) {
   g.create_ordered_index("lc");
   g.set_property(a, "lc", std::int64_t{7});
   EXPECT_EQ(g.range_scan("lc", 7, 7), (std::vector<NodeId>{a}));
+}
+
+TEST(GraphStoreTest, AddBatchWritesNodesThenEdges) {
+  GraphStore g;
+  const PropKeyId key = g.intern_prop_key("i");
+  const NodeId tail = g.add_node("LOG", {});
+  std::vector<GraphStore::NodeInsert> nodes;
+  for (std::int64_t i = 0; i < 3; ++i) {
+    nodes.push_back({"LOG", {{key, PropertyValue{i}}}});
+  }
+  const std::vector<GraphStore::BatchEdge> chain = {
+      {{tail, false}, {0, true}}, {{0, true}, {1, true}}, {{1, true}, {2, true}}};
+  const NodeId first = g.add_batch(std::move(nodes), chain, "NEXT");
+  EXPECT_EQ(first, 1u);
+  EXPECT_EQ(g.node_count(), 4u);
+  EXPECT_EQ(g.edge_count(), 3u);
+  for (NodeId v = 0; v < 3; ++v) {
+    ASSERT_EQ(g.out_edges(v).size(), 1u);
+    EXPECT_EQ(g.out_edges(v)[0].to, v + 1);
+    EXPECT_EQ(g.edge_type_name(g.out_edges(v)[0].type), "NEXT");
+  }
+  EXPECT_EQ(g.property(first + 2, key), PropertyValue{std::int64_t{2}});
+
+  // A bad endpoint is rejected before anything is written.
+  std::vector<GraphStore::NodeInsert> more(1, {"LOG", {}});
+  const std::vector<GraphStore::BatchEdge> bad = {{{0, true}, {5, true}}};
+  EXPECT_THROW(g.add_batch(std::move(more), bad, "NEXT"), std::out_of_range);
+  EXPECT_EQ(g.node_count(), 4u);
+  EXPECT_EQ(g.edge_count(), 3u);
+}
+
+TEST(GraphStoreTest, EdgeLogRecordsOnlyWhileSubscribed) {
+  GraphStore g;
+  const NodeId a = g.add_node("LOG", {});
+  const NodeId b = g.add_node("LOG", {});
+  const NodeId c = g.add_node("LOG", {});
+  g.add_edge(a, b, "NEXT");  // before any subscriber: not recorded
+  std::vector<EdgeEndpoints> read;
+  g.drain_edge_log(read);
+  EXPECT_TRUE(read.empty());
+
+  g.subscribe_edge_log();
+  EXPECT_THROW(g.subscribe_edge_log(), std::logic_error);
+  g.add_edge(b, c, "HB");
+  g.add_batch({{"LOG", {}}}, std::vector<GraphStore::BatchEdge>{
+                                 {{c, false}, {0, true}}},
+              "NEXT");
+  g.drain_edge_log(read);
+  ASSERT_EQ(read.size(), 2u);
+  EXPECT_EQ(read[0].from, b);
+  EXPECT_EQ(read[0].to, c);
+  EXPECT_EQ(read[1].from, c);
+  EXPECT_EQ(read[1].to, 3u);
+  g.drain_edge_log(read);  // entries are dropped once read
+  EXPECT_TRUE(read.empty());
+
+  g.unsubscribe_edge_log();
+  g.add_edge(a, c, "HB");
+  g.drain_edge_log(read);
+  EXPECT_TRUE(read.empty());
+  g.subscribe_edge_log();  // a new subscriber may take over
 }
 
 }  // namespace

@@ -138,9 +138,15 @@ void run_seed(std::uint64_t seed, const SegmentKnobs& knobs = {}) {
           ? 0
           : rng.uniform(0, static_cast<std::int64_t>(kill_at) - 1));
 
+  // The sweeps share seeds and may run in parallel (ctest -j): the test
+  // name keeps their data directories apart.
   const std::string data_dir =
       (fs::path(::testing::TempDir()) /
-       ("horus-recovery-" + std::to_string(seed)))
+       ("horus-recovery-" +
+        std::string(::testing::UnitTest::GetInstance()
+                        ->current_test_info()
+                        ->name()) +
+        "-" + std::to_string(seed)))
           .string();
   fs::remove_all(data_dir);
 
