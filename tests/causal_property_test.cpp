@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <type_traits>
 #include <vector>
 
 #include "core/causal_query.h"
@@ -37,12 +38,16 @@ std::unique_ptr<Horus> build(std::vector<Event> events) {
   return horus;
 }
 
+// Every field is 64-bit so the struct has no padding: gtest names each
+// case after the struct's raw bytes, and uninitialised padding made the
+// test names differ from one build (and run) to the next.
 struct PropertyCase {
-  int processes;
+  std::int64_t processes;
   std::size_t events_per_process;
   std::uint64_t seed;
-  int pairs;  ///< random (a, b) pairs probed
+  std::int64_t pairs;  ///< random (a, b) pairs probed
 };
+static_assert(std::has_unique_object_representations_v<PropertyCase>);
 
 class CausalPropertyTest : public ::testing::TestWithParam<PropertyCase> {
  protected:

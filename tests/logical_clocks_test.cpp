@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "core/horus.h"
 #include "gen/synthetic.h"
 #include "graph/traversal.h"
@@ -51,11 +54,15 @@ TEST(LogicalClocksTest, VcAgreesWithReachabilityOnClientServer) {
   }
 }
 
+// Every field is 64-bit so the struct has no padding: gtest names each
+// case after the struct's raw bytes, and uninitialised padding made the
+// test names differ from one build (and run) to the next.
 struct RandomExecCase {
-  int processes;
+  std::int64_t processes;
   std::size_t events_per_process;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<RandomExecCase>);
 
 class VcPropertyTest : public ::testing::TestWithParam<RandomExecCase> {};
 
