@@ -1,6 +1,5 @@
 // Clock-backend footprint and latency: flat arena vs sparse delta lanes
-// (ClockMode), plus the chain-decomposition reachability index as the Q1/Q2
-// oracle — the measurement behind DESIGN.md §13.
+// (ClockMode) — the measurement behind DESIGN.md §13.
 //
 // The flat arena stores one dense VC row per event, so resident bytes grow
 // with events x timelines; at 10k timelines that is the dominant memory
@@ -10,10 +9,10 @@
 // sparse >= 5x lower clock bytes/event at 10k timelines with Q1/Q2 p50
 // within 2x of flat.
 //
-// Hand-rolled main (bench_main.h JsonReport): every size runs three arms —
-// mode=flat, mode=sparse (bench/run_all.sh fails the report if either arm
-// is missing) and oracle=chain — and each row records bytes/event, assign
-// time and Q1/Q2 p50.
+// Hand-rolled main (bench_main.h JsonReport): every size runs two arms —
+// mode=flat and mode=sparse (bench/run_all.sh fails the report if either
+// arm is missing) — and each row records bytes/event, assign time and
+// Q1/Q2 p50.
 //
 // Flags: --json <path>, --quick (smaller sizes), --seed N.
 #include <algorithm>
@@ -26,7 +25,6 @@
 
 #include "bench_main.h"
 #include "bench_util.h"
-#include "core/chain_index.h"
 #include "core/horus.h"
 #include "core/logical_clocks.h"
 #include "gen/synthetic.h"
@@ -53,7 +51,8 @@ double percentile(std::vector<double> samples, double p) {
 template <typename Fn>
 std::vector<double> q1_samples_ns(
     const std::vector<std::pair<graph::NodeId, graph::NodeId>>& pairs,
-    Fn&& q1, int reps = 64) {
+    Fn&& q1) {
+  constexpr int reps = 64;
   std::vector<double> samples;
   samples.reserve(pairs.size());
   for (const auto& [a, b] : pairs) {
@@ -192,7 +191,6 @@ int main(int argc, char** argv) {
       row["name"] = "clocks/" + std::to_string(spec.timelines) +
                     "/mode=" + mode_name;
       row["mode"] = mode_name;
-      row["oracle"] = "vc";
       row["timelines"] = static_cast<std::int64_t>(spec.timelines);
       row["events"] = static_cast<std::int64_t>(events);
       row["clock_bytes"] = static_cast<std::int64_t>(clocks.clock_bytes());
@@ -219,58 +217,6 @@ int main(int argc, char** argv) {
           status = 1;
         }
       }
-      report.add_row(std::move(row));
-    }
-
-    // Chain-decomposition arm: the alternative Q1/Q2 oracle over flat
-    // clocks (the index itself is mode-independent — it reads only
-    // timelines/positions and the merge edges).
-    {
-      LogicalClockAssigner assigner(
-          graph, {.write_lamport_property = false, .mode = ClockMode::kFlat});
-      assigner.assign();
-      const ClockTable& clocks = assigner.clocks();
-      const auto build_start = bench::BenchClock::now();
-      const ChainIndex index(graph, clocks);
-      const double build_ms = bench::ms_since(build_start);
-
-      const auto q1 = q1_samples_ns(
-          q1_pairs,
-          [&](graph::NodeId a, graph::NodeId b) {
-            return index.happens_before(a, b);
-          },
-          8);  // each call relaxes the full chain worklist — fewer reps
-      const double q1_p50 = percentile(q1, 0.5);
-
-      QueryOptions options;
-      options.chain_index = &index;
-      CausalQueryEngine engine(graph, clocks, options);
-      std::vector<double> q2_samples;
-      for (const auto& [a, b] : q2_pairs) {
-        const auto start = bench::BenchClock::now();
-        const auto result = engine.get_causal_graph(a, b);
-        q2_samples.push_back(bench::ms_since(start) * 1'000.0);
-        benchmark::DoNotOptimize(result.nodes.data());
-      }
-      const double q2_p50 = percentile(q2_samples, 0.5);
-
-      std::printf(
-          "clocks/%-6d timelines  chain   build %8.2f ms (%zu merge edges)  "
-          "Q1 p50 %8.1f ns  Q2 p50 %10.1f us\n",
-          spec.timelines, build_ms, index.merge_edge_count(), q1_p50, q2_p50);
-
-      Json row = Json::object();
-      row["name"] =
-          "clocks/" + std::to_string(spec.timelines) + "/oracle=chain";
-      row["mode"] = "flat";
-      row["oracle"] = "chain";
-      row["timelines"] = static_cast<std::int64_t>(spec.timelines);
-      row["events"] = static_cast<std::int64_t>(events);
-      row["chain_build_ms"] = build_ms;
-      row["merge_edges"] =
-          static_cast<std::int64_t>(index.merge_edge_count());
-      row["q1_p50_ns"] = q1_p50;
-      row["q2_p50_us"] = q2_p50;
       report.add_row(std::move(row));
     }
   }

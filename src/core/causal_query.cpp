@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "core/chain_index.h"
 #include "graph/segment.h"
 #include "graph/traversal.h"
 #include "obs/metrics.h"
@@ -48,6 +47,22 @@ struct Q2Metrics {
     return metrics;
   }
 };
+
+/// The one Q2 admit predicate shared by both engines: hb(a, v) and
+/// hb(v, b). b's dense VC is reconstructed once per query, so the v->b half
+/// is an O(1) component read (VC(b)[tl(v)] >= pos(v)) even when the sparse
+/// backend would otherwise walk v's delta chain per candidate.
+inline bool admits_between(const ClockTable& clocks, graph::NodeId a,
+                           std::span<const std::int32_t> vc_b,
+                           graph::NodeId v) {
+  const std::int32_t tv = clocks.timeline_of(v);
+  if (tv < 0) return false;
+  const std::int32_t cb = static_cast<std::size_t>(tv) < vc_b.size()
+                              ? vc_b[static_cast<std::size_t>(tv)]
+                              : 0;
+  if (cb < clocks.position(v)) return false;  // !hb(v, b)
+  return clocks.happens_before(a, v);
+}
 
 }  // namespace
 
@@ -170,17 +185,6 @@ CausalGraphResult CausalQueryEngine::get_causal_graph(graph::NodeId a,
                                  clocks_.vc_span(b, vc_scratch));
   }
 
-  // Chain-decomposition pruning oracle: two relaxations up front replace
-  // every per-candidate VC comparison below (exact — the causal cut is a
-  // per-timeline position interval).
-  std::vector<std::int32_t> chain_fwd;
-  std::vector<std::int32_t> chain_back;
-  const ChainIndex* chains = options_.chain_index;
-  if (chains != nullptr) {
-    chains->forward_bounds(a, chain_fwd);
-    chains->backward_bounds(b, chain_back);
-  }
-
   // Stage wall times are taken only under --profile: a steady_clock read
   // between stages is an optimizer barrier, and four of them cost ~20% on
   // the smallest fig8 case. The registry counters below stay unconditional.
@@ -223,33 +227,12 @@ CausalGraphResult CausalQueryEngine::get_causal_graph(graph::NodeId a,
   // prune is a pure per-candidate predicate, so it partitions into fixed
   // chunks whose kept-vectors concatenate in chunk order — identical output
   // to the sequential scan.
-  //
-  // b's dense VC is reconstructed once: the v->b half of the test is then
-  // an O(1) component read (hb(v,b) iff VC(b)[tl(v)] >= pos(v)) even when
-  // the sparse backend would otherwise walk v's delta chain per candidate.
   std::vector<std::int32_t> vc_b_scratch;
   const auto vc_b = clocks_.vc_span(b, vc_b_scratch);
   std::vector<graph::NodeId> kept;
   const unsigned threads = options_.effective_threads();
   auto keep = [&](graph::NodeId v) {
-    if (v == a || v == b) return true;
-    if (chains != nullptr) {
-      const std::int32_t t = clocks_.timeline_of(v);
-      if (t < 0 || static_cast<std::size_t>(t) >= chain_fwd.size()) {
-        return false;
-      }
-      const std::int32_t p = clocks_.position(v);
-      return chain_fwd[static_cast<std::size_t>(t)] <= p &&
-             p <= chain_back[static_cast<std::size_t>(t)];
-    }
-    const std::int32_t tv = clocks_.timeline_of(v);
-    if (tv < 0) return false;
-    const std::int32_t cb =
-        static_cast<std::size_t>(tv) < vc_b.size()
-            ? vc_b[static_cast<std::size_t>(tv)]
-            : 0;
-    if (cb < clocks_.position(v)) return false;  // !hb(v, b)
-    return clocks_.happens_before(a, v);
+    return v == a || v == b || admits_between(clocks_, a, vc_b, v);
   };
   if (threads <= 1 || candidates.size() < options_.min_parallel_items) {
     kept.reserve(candidates.size());
@@ -338,16 +321,6 @@ CausalGraphResult CausalQueryEngine::get_causal_graph_traversal(
                                  clocks_.vc_span(b, vc_scratch));
   }
 
-  // Chain bounds computed once; the flood's admit predicate then tests a
-  // per-timeline position interval instead of two VC comparisons per node.
-  std::vector<std::int32_t> chain_fwd;
-  std::vector<std::int32_t> chain_back;
-  const ChainIndex* chains = options_.chain_index;
-  if (chains != nullptr) {
-    chains->forward_bounds(a, chain_fwd);
-    chains->backward_bounds(b, chain_back);
-  }
-
   // Pruned double flood: every node on a causal path from a to b satisfies
   // the admit predicate, and (prefix/suffix closure of the cut) is reachable
   // from a / reaches b through admitted nodes only, so the floods explore
@@ -360,31 +333,15 @@ CausalGraphResult CausalQueryEngine::get_causal_graph_traversal(
   // Same gating as get_causal_graph: stage clocks only under --profile.
   const bool timed = options_.profile != nullptr;
   const auto prune_start = timed ? QueryClock::now() : QueryClock::time_point{};
-  // Same single b-side reconstruction as get_causal_graph: the flood tests
-  // hb(v,b) against this span instead of walking v's clock per visit.
+  // Same admit predicate and single b-side reconstruction as
+  // get_causal_graph.
   std::vector<std::int32_t> vc_b_scratch;
   const auto vc_b = clocks_.vc_span(b, vc_b_scratch);
   graph::SubgraphResult between = graph::between_subgraph_parallel(
       graph_.store(), a, b, traversal_options, [&](graph::NodeId v) {
         if (v == a || v == b) return true;
         if (pruner.active() && !pruner.admits(v)) return false;
-        if (chains != nullptr) {
-          const std::int32_t t = clocks_.timeline_of(v);
-          if (t < 0 || static_cast<std::size_t>(t) >= chain_fwd.size()) {
-            return false;
-          }
-          const std::int32_t p = clocks_.position(v);
-          return chain_fwd[static_cast<std::size_t>(t)] <= p &&
-                 p <= chain_back[static_cast<std::size_t>(t)];
-        }
-        const std::int32_t tv = clocks_.timeline_of(v);
-        if (tv < 0) return false;
-        const std::int32_t cb =
-            static_cast<std::size_t>(tv) < vc_b.size()
-                ? vc_b[static_cast<std::size_t>(tv)]
-                : 0;
-        if (cb < clocks_.position(v)) return false;  // !hb(v, b)
-        return clocks_.happens_before(a, v);
+        return admits_between(clocks_, a, vc_b, v);
       });
   result.lc_candidates = between.visited;
   result.truncated = between.truncated;

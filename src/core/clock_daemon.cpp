@@ -53,10 +53,13 @@ void ClockDaemon::collect_candidates_locked(graph::NodeId mark,
   graph::GraphStore& store = graph_.store();
   // Logged edges out of nodes at or above `mark` are dropped: those at
   // [mark, end) are read from the node range below, those at end or above
-  // are unassigned and a later tick's node range reads them.
+  // are unassigned and a later tick's node range reads them. After a
+  // restore every logged edge is kept: the node range skips evicted
+  // segments, and an edge written out of one since the restore (the write
+  // faulted it in, an eviction spilled it again) is seen only here.
   store.drain_edge_log(drained_);
   for (const graph::EdgeEndpoints& e : drained_) {
-    if (e.from < mark) logged_.push_back(e);
+    if (e.from < mark || restored_) logged_.push_back(e);
   }
   candidates_ = logged_;
 
@@ -230,13 +233,13 @@ void ClockDaemon::restore_clocks(ClockTable table) {
   }
   assigner_.restore(std::move(table));
   assigned_ = assigned;
-  // Edges logged so far are read again by the node range, which restarts
-  // at 0.
+  // The node range restarts at 0 but skips evicted segments, so from here
+  // on every edge is logged and kept until a tick completes (see
+  // collect_candidates_locked()).
   node_mark_ = 0;
-  logged_.clear();
-  if (subscribed_) {
-    graph_.store().drain_edge_log(drained_);
-    drained_ = {};
+  if (!subscribed_) {
+    graph_.store().subscribe_edge_log();
+    subscribed_ = true;
   }
   restored_ = true;
 }

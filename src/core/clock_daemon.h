@@ -29,7 +29,9 @@
 // clocks. The intra encoder writes each timeline batch together with its
 // program-order chain, which keeps positions in chain order and the
 // fallback out of normal operation. After restore_clocks() the node mark
-// is zero, so the first tick checks every edge once through the same path.
+// is zero, so the first tick checks every edge once through the same path;
+// it skips nodes in evicted segments (their clocks came back with the
+// table) and instead keeps every edge logged since the restore.
 #pragma once
 
 #include <atomic>
@@ -119,10 +121,10 @@ class ClockDaemon {
 
  private:
   /// Fills candidates_ with this tick's audit set: the logged edges whose
-  /// tail lies below `mark` (kept in logged_ until a tick completes), then
-  /// the out-edges of the nodes in [mark, end). The log is drained before
-  /// the node range is read, so an edge added in between is in one of the
-  /// two.
+  /// tail lies below `mark`, or all of them after a restore (kept in
+  /// logged_ until a tick completes), then the out-edges of the nodes in
+  /// [mark, end). The log is drained before the node range is read, so an
+  /// edge added in between is in one of the two.
   void collect_candidates_locked(graph::NodeId mark, graph::NodeId end);
 
   /// Heads of candidate edges that violate the Lamport or vector-clock
@@ -146,8 +148,8 @@ class ClockDaemon {
   std::vector<graph::EdgeEndpoints> drained_;     ///< drain buffer (reused)
   std::vector<graph::EdgeEndpoints> candidates_;  ///< this tick's audit set
   /// Set by restore_clocks() until a tick completes: the node-range walk
-  /// then starts at 0 and skips evicted segments (see
-  /// collect_candidates_locked()).
+  /// then starts at 0 and skips evicted segments, and every logged edge is
+  /// kept (see collect_candidates_locked()).
   bool restored_ = false;
 
   /// Periodic tick loop, spawned through the shared ThreadPool's service

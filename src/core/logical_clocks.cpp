@@ -138,13 +138,26 @@ std::size_t ClockTable::reconstruct_dense(
   walk_sparse(t, pos, [&](std::int32_t tl, std::int32_t val) {
     const auto i = static_cast<std::size_t>(tl);
     if (i >= dense.size()) dense.resize(i + 1, 0);
-    // Latest record first + components only grow along a chain: max over
-    // every occurrence equals the current value (no first-found bookkeeping
+    // Latest record first + every delta dominates its base: max over every
+    // occurrence equals the current value (no first-found bookkeeping
     // needed).
     if (val > dense[i]) dense[i] = val;
     if (i + 1 > len) len = i + 1;
   });
   return len;
+}
+
+bool ClockTable::base_exceeds(std::int32_t t, std::int32_t pos,
+                              std::span<const std::int32_t> vc) const {
+  // A dense component is the max of its entries along the walk, so it
+  // exceeds vc exactly when one of those entries does. Only the stored
+  // entries are visited, not every timeline.
+  bool above = false;
+  walk_sparse(t, pos, [&](std::int32_t tl, std::int32_t val) {
+    const auto i = static_cast<std::size_t>(tl);
+    above |= val > (i < vc.size() ? vc[i] : 0);
+  });
+  return above;
 }
 
 bool ClockTable::build_sparse_record(std::span<const std::int32_t> vc,
@@ -176,11 +189,9 @@ bool ClockTable::build_sparse_record(std::span<const std::int32_t> vc,
   return keyframe;
 }
 
-void ClockTable::append_sparse(graph::NodeId v, std::int32_t t,
-                               std::int32_t pos,
+void ClockTable::append_sparse(std::int32_t t, std::int32_t pos,
                                std::span<const std::int32_t> vc,
                                std::vector<std::int32_t>& tp_scratch) {
-  (void)v;
   if (lanes_.size() <= static_cast<std::size_t>(t)) {
     lanes_.resize(static_cast<std::size_t>(t) + 1);
   }
@@ -190,7 +201,8 @@ void ClockTable::append_sparse(graph::NodeId v, std::int32_t t,
   if (static_cast<std::size_t>(pos) != lane.rec_end.size() + 1) {
     throw std::logic_error("clock table: out-of-order sparse lane append");
   }
-  bool keyframe = pos == 1 || ((pos - 1) % keyframe_interval_) == 0;
+  bool keyframe = pos == 1 || ((pos - 1) % keyframe_interval_) == 0 ||
+                  base_exceeds(t, pos - 1, vc);
   std::size_t tp_len = 0;
   if (!keyframe) tp_len = reconstruct_dense(t, pos - 1, tp_scratch);
   static thread_local SparseRecord record;
@@ -207,18 +219,18 @@ void ClockTable::append_sparse(graph::NodeId v, std::int32_t t,
   lane.flags.push_back(keyframe ? kKeyframeFlag : std::uint8_t{0});
 }
 
-void ClockTable::rewrite_sparse(graph::NodeId v, std::int32_t t,
-                                std::int32_t pos,
+void ClockTable::rewrite_sparse(std::int32_t t, std::int32_t pos,
                                 std::span<const std::int32_t> vc,
                                 std::vector<std::int32_t>& tp_scratch) {
-  (void)v;
   SparseLane& lane = lanes_[static_cast<std::size_t>(t)];
   const auto idx = static_cast<std::size_t>(pos - 1);
   std::uint8_t f = lane.flags[idx];
   // Keyframes stay keyframes: descendants' reconstruction walks terminate
   // here and must keep seeing the full vector. Deltas may be promoted when
-  // the repair grew them past the full sparse form.
-  bool keyframe = (f & kKeyframeFlag) != 0;
+  // the repair grew them past the full sparse form, or their base exceeds
+  // the new VC.
+  bool keyframe = (f & kKeyframeFlag) != 0 ||
+                  (pos > 1 && base_exceeds(t, pos - 1, vc));
   std::size_t tp_len = 0;
   if (!keyframe && pos > 1) tp_len = reconstruct_dense(t, pos - 1, tp_scratch);
   static thread_local SparseRecord record;
@@ -249,6 +261,12 @@ void ClockTable::rewrite_sparse(graph::NodeId v, std::int32_t t,
   }
   if (keyframe) f |= kKeyframeFlag;
   lane.flags[idx] = f;
+}
+
+bool ClockTable::is_delta(std::int32_t t, std::int32_t pos) const {
+  const SparseLane& lane = lanes_[static_cast<std::size_t>(t)];
+  return pos >= 1 && static_cast<std::size_t>(pos) <= lane.flags.size() &&
+         (lane.flags[static_cast<std::size_t>(pos - 1)] & kKeyframeFlag) == 0;
 }
 
 // ---- lookups ----------------------------------------------------------------
@@ -716,7 +734,7 @@ void LogicalClockAssigner::store_new_vc(graph::NodeId v, std::int32_t t,
                                         const std::vector<std::int32_t>& vc,
                                         std::vector<std::int32_t>& tp_scratch) {
   if (table_.mode_ == ClockMode::kSparse) {
-    table_.append_sparse(v, t, pos, {vc.data(), vc.size()}, tp_scratch);
+    table_.append_sparse(t, pos, {vc.data(), vc.size()}, tp_scratch);
     return;
   }
   // Slot offsets are 32-bit; a flat arena past 2^32 elements would silently
@@ -862,9 +880,8 @@ LogicalClockAssigner::RepairResult LogicalClockAssigner::repair(
 
   // Forward closure of the roots over assigned nodes. Unassigned successors
   // are left to the next assign() pass, which reads the repaired
-  // predecessors anyway. The closure follows every out-edge — including the
-  // intra chain — so in sparse mode it contains every delta descendant of a
-  // raised clock: each rewritten delta's base is final before the rewrite.
+  // predecessors anyway. The closure follows every out-edge, including the
+  // intra chain; sparse lane successors are re-encoded below.
   std::unordered_map<graph::NodeId, std::uint32_t> index;  // dense per node
   std::vector<graph::NodeId> dirty;
   std::vector<graph::NodeId> stack;
@@ -911,11 +928,19 @@ LogicalClockAssigner::RepairResult LogicalClockAssigner::repair(
   preds_begin[dirty.size()] = static_cast<std::uint32_t>(preds.size());
   const SuccessorLists successors(dirty.size(), counted);
 
+  // Sparse lanes: a raised record is the delta base of the next record in
+  // its lane, and that lane successor need not be a graph successor. Before
+  // each rewrite the successor is re-encoded over the new base, so its
+  // reconstruction, and that of every record below it, stays what it was
+  // until the pass recomputes it (if it ever does).
+  const bool sparse = table_.mode_ == ClockMode::kSparse;
+
   RepairResult result;
   std::vector<graph::NodeId>& processed = result.recomputed;
   processed.reserve(dirty.size());
   std::vector<std::int32_t> v_clock;     // scratch, reused across nodes
   std::vector<std::int32_t> tp_scratch;  // sparse delta base, reused
+  std::vector<std::int32_t> next_vc;     // sparse lane successor, reused
   while (!frontier.empty()) {
     const std::uint32_t i = frontier.back();
     frontier.pop_back();
@@ -945,13 +970,22 @@ LogicalClockAssigner::RepairResult LogicalClockAssigner::repair(
         graph_.store().set_property(v, keys.lamport, lc);
       }
     }
-    if (table_.mode_ == ClockMode::kSparse) {
-      // Always rewrite: even when v's own vector is unchanged its delta base
-      // may have been repaired this pass, and the stored delta must stay
-      // relative to the final predecessor record.
-      table_.rewrite_sparse(v, static_cast<std::int32_t>(t),
-                            table_.position_[v], {v_clock.data(),
-                            v_clock.size()}, tp_scratch);
+    if (sparse) {
+      // The lane successor's vector is read before v's record changes
+      // under it, and re-encoded over v's new record right after.
+      const auto ti = static_cast<std::int32_t>(t);
+      const std::int32_t pos = table_.position_[v];
+      const bool reencode_next = table_.is_delta(ti, pos + 1);
+      std::size_t next_len = 0;
+      if (reencode_next) {
+        next_len = table_.reconstruct_dense(ti, pos + 1, next_vc);
+      }
+      table_.rewrite_sparse(ti, pos, {v_clock.data(), v_clock.size()},
+                            tp_scratch);
+      if (reencode_next) {
+        table_.rewrite_sparse(ti, pos + 1, {next_vc.data(), next_len},
+                              tp_scratch);
+      }
     } else {
       // Overwrite the arena slot in place when the raised clock fits
       // (clearing any stale tail — absent components read as zero);

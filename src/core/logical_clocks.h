@@ -22,8 +22,8 @@
 //    a timeline (only merged-in histories move), so storage collapses to
 //    O(churn) instead of O(#timelines) per event. Reconstruction walks the
 //    delta chain latest-record-first: the first occurrence of a component
-//    is its current value (components only grow along a timeline), and a
-//    keyframe terminates the walk.
+//    is its current value (a delta is only stored over a base it dominates),
+//    and a keyframe terminates the walk.
 //
 // Assignment is a Kahn-style topological traversal, *incremental* by
 // design: a periodic run resumes from the frontier of each timeline and only
@@ -36,12 +36,12 @@
 // assigned must already be persisted. Edges added later between
 // already-assigned events would invalidate their clocks; reassign_all()
 // recomputes from scratch for such offline scenarios, and repair() heals the
-// forward closure of a late edge in place. Delta encoding stays sound under
-// repair() because the intra encoder chains consecutive timeline events with
-// an explicit edge, written in the same store write as the events: a
-// timeline predecessor is always a graph predecessor, so
-// the repair closure contains every delta descendant of a raised clock and
-// the Kahn order rewrites each delta against its already-final base.
+// forward closure of a late edge in place. Delta encoding stays sound
+// whether or not a timeline predecessor is also a graph predecessor (the
+// intra encoder guarantees it; the separate ExecutionGraph::add_event /
+// add_intra_edge calls do not): a record whose base exceeds its VC in some
+// component is stored as a keyframe, and before repair() rewrites a record
+// it re-encodes the lane successor's delta over the new record.
 #pragma once
 
 #include <cstdint>
@@ -223,7 +223,8 @@ class ClockTable {
   /// Invokes fn(timeline, value) for every entry of the delta chain ending
   /// at (timeline t, position pos), latest record first, stopping after the
   /// nearest keyframe. First occurrence of a component is its current
-  /// value; max over all occurrences equals it too (components only grow).
+  /// value; max over all occurrences equals it too (a delta is stored only
+  /// over a base no larger than its VC, see base_exceeds).
   template <typename Fn>
   void walk_sparse(std::int32_t t, std::int32_t pos, Fn&& fn) const;
 
@@ -232,21 +233,32 @@ class ClockTable {
   std::size_t reconstruct_dense(std::int32_t t, std::int32_t pos,
                                 std::vector<std::int32_t>& dense) const;
 
-  /// Appends the VC of node v (dense in `vc`, timeline t, 1-based pos) as a
-  /// sparse record: keyframe on the periodic boundary or when the delta
-  /// against the timeline predecessor would not be smaller, delta
-  /// otherwise. `tp_scratch` is caller-provided dense scratch.
-  void append_sparse(graph::NodeId v, std::int32_t t, std::int32_t pos,
+  /// Appends a VC (dense in `vc`, timeline t, 1-based pos) as a sparse
+  /// record: keyframe on the periodic boundary or when build_sparse_record
+  /// promotes it, delta against the timeline predecessor otherwise.
+  /// `tp_scratch` is caller-provided dense scratch.
+  void append_sparse(std::int32_t t, std::int32_t pos,
                      std::span<const std::int32_t> vc,
                      std::vector<std::int32_t>& tp_scratch);
 
-  /// Rewrites the existing record of v after a repair raised its VC. Keeps
-  /// keyframes keyframes (walks of descendants stay bounded), may promote a
-  /// grown delta to a keyframe, and spills records that outgrow their lane
-  /// window into overflow_ (rare: repairs only).
-  void rewrite_sparse(graph::NodeId v, std::int32_t t, std::int32_t pos,
+  /// Rewrites the existing record at (t, pos) after a repair raised its VC
+  /// or its delta base. Keeps keyframes keyframes (walks of descendants stay
+  /// bounded), may promote a delta to a keyframe, and spills records that
+  /// outgrow their lane window into overflow_ (rare: repairs only).
+  void rewrite_sparse(std::int32_t t, std::int32_t pos,
                       std::span<const std::int32_t> vc,
                       std::vector<std::int32_t>& tp_scratch);
+
+  /// True iff some component of the VC stored at (t, pos) exceeds `vc`.
+  /// Reconstruction takes the max along the walk, so a delta over such a
+  /// base would over-report: append_sparse and rewrite_sparse store a
+  /// keyframe instead (a timeline predecessor that is not a graph
+  /// predecessor can be such a base).
+  [[nodiscard]] bool base_exceeds(std::int32_t t, std::int32_t pos,
+                                  std::span<const std::int32_t> vc) const;
+
+  /// True iff (t, pos) holds a stored delta record (not a keyframe).
+  [[nodiscard]] bool is_delta(std::int32_t t, std::int32_t pos) const;
 
   /// Collects the record for (vc, keyframe-or-delta-vs-tp) into `record`.
   /// `tp_len` is the used length of tp_scratch (delta base); pass 0 with

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "common/atomic_file.h"
 #include "common/diag.h"
 #include "common/json.h"
 #include "core/validator.h"
@@ -38,29 +39,15 @@ std::string inter_routing_key(const Event& event) {
   return event.thread.to_string();
 }
 
-namespace {
-
-/// Atomically replaces `path` with the serialized pending events (write to
-/// a temp file, then rename): a crash mid-write leaves the previous spill
-/// intact, never a torn one.
 void write_pending_wal(const std::string& path,
                        const std::vector<Event>& events) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("pipeline: cannot write WAL " + tmp);
-    }
+  write_file_atomic(path, [&](std::ostream& out) {
     for (const Event& event : events) {
       out << event.to_json().dump() << '\n';
     }
-  }
-  fs::rename(tmp, path);
+  });
 }
 
-/// Loads a pending-pair spill; a missing file is an empty spill (first
-/// start), a corrupt line is skipped with a warning (it only widens the
-/// lost-edge window back to the in-memory behaviour for that one event).
 std::vector<Event> read_pending_wal(const std::string& path) {
   std::vector<Event> events;
   std::ifstream in(path);
@@ -77,6 +64,8 @@ std::vector<Event> read_pending_wal(const std::string& path) {
   }
   return events;
 }
+
+namespace {
 
 /// Tracks one worker's contribution to a shared pending gauge via deltas,
 /// and retracts it on scope exit — so a crashed worker (whose encoder, and

@@ -95,6 +95,17 @@ struct PipelineOptions {
 /// Routing key under rule-based pair affinity (see file comment, point ii).
 [[nodiscard]] std::string inter_routing_key(const Event& event);
 
+/// Replaces the pending-pair spill at `path` with `events`, one JSON line
+/// each, through write_file_atomic (common/atomic_file.h): on a failed
+/// write it throws HorusError and the previous spill stays intact.
+void write_pending_wal(const std::string& path,
+                       const std::vector<Event>& events);
+
+/// Loads a pending-pair spill; a missing file is an empty spill (first
+/// start), a corrupt line is skipped with a warning (it only widens the
+/// lost-edge window back to the in-memory behaviour for that one event).
+[[nodiscard]] std::vector<Event> read_pending_wal(const std::string& path);
+
 class Pipeline {
  public:
   Pipeline(queue::Broker& broker, ExecutionGraph& graph,

@@ -7,6 +7,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/atomic_file.h"
 #include "common/crc32.h"
 #include "common/json.h"
 #include "common/thread_pool.h"
@@ -782,16 +783,9 @@ void SegmentManager::write_segment_stream_locked(SegmentId seg,
 }
 
 void SegmentManager::write_spill_locked(SegmentId seg) {
-  const std::string path = spill_path(seg);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) throw HorusError("segment io: cannot open " + tmp);
+  write_file_atomic(spill_path(seg), [&](std::ostream& out) {
     write_segment_stream_locked(seg, out);
-    out.flush();
-    if (!out) throw HorusError("segment io: write failed for " + tmp);
-  }
-  fs::rename(tmp, path);
+  });
   segments_[seg].spill_clean = true;
 }
 
@@ -809,15 +803,9 @@ void SegmentManager::write_segment_file(SegmentId seg,
     fs::copy_file(spill_path(seg), path, fs::copy_options::overwrite_existing);
     return;
   }
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) throw HorusError("segment io: cannot open " + tmp);
+  write_file_atomic(path, [&](std::ostream& out) {
     write_segment_stream_locked(seg, out);
-    out.flush();
-    if (!out) throw HorusError("segment io: write failed for " + tmp);
-  }
-  fs::rename(tmp, path);
+  });
 }
 
 void SegmentManager::adopt_sealed(

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/atomic_file.h"
 #include "common/error.h"
 #include "common/json.h"
 #include "obs/metrics.h"
@@ -27,18 +28,6 @@ std::string read_file(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return std::move(buf).str();
-}
-
-void write_file_atomic(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw HorusError("checkpoint: cannot write " + tmp);
-    out << content;
-    out.flush();
-    if (!out) throw HorusError("checkpoint: write failed for " + tmp);
-  }
-  fs::rename(tmp, path);
 }
 
 /// Writes the per-segment graph bundle (see header): one CRC-trailered
@@ -280,7 +269,9 @@ CheckpointInfo CheckpointStore::write(
   manifest["epoch"] = static_cast<std::int64_t>(epoch);
   manifest["dir"] = epoch_dir_name(epoch);
   write_file_atomic((fs::path(options_.dir) / kManifest).string(),
-                    manifest.dump_pretty() + "\n");
+                    [&](std::ostream& out) {
+                      out << manifest.dump_pretty() << '\n';
+                    });
   checkpoints_total.inc();
 
   // GC: drop unpublished leftovers and epochs older than the retention

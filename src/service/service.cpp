@@ -172,8 +172,12 @@ std::uint64_t HorusService::checkpoint_now() {
   // never takes the gate, and workers never take the daemon lock, so this
   // order is cycle-free. Under the gate the graph is frozen (encoders only
   // mutate it inside gated flush sections), so offsets, clocks, graph, and
-  // WAL all describe the same cut.
+  // WAL all describe the same cut. The clocks get there by one tick under
+  // the gate: a restore trusts the checkpointed clocks of nodes in evicted
+  // segments without auditing their edges again, so edges written since
+  // the last periodic tick must be assigned and audited first.
   const auto gate = pipeline_.quiesce_commits();
+  daemon_.tick();
   const std::vector<queue::Broker::CommittedOffset> offsets =
       broker_.offsets_snapshot();
   std::string clock_record = daemon_.with_clocks([](const ClockTable& t) {

@@ -1,13 +1,10 @@
-// Differential suite for the compressed clock backend (ClockMode::kSparse)
-// and the chain-decomposition reachability index (core/chain_index.h).
+// Differential suite for the compressed clock backend (ClockMode::kSparse).
 //
 // The contract under test: flat and sparse storage produce *identical*
 // logical clocks — same Lamport values, same happens-before relation, same
 // vector-clock components — over every workload shape the chaos matrix can
-// produce, and the chain index is an exact substitute for the vector-clock
-// pruning oracle in Q2. Rows are compared value-for-value, not
-// statistically: any divergence is a bug in the delta encoding, the repair
-// rewrite path, or the chain relaxation.
+// produce. Rows are compared value-for-value, not statistically: any
+// divergence is a bug in the delta encoding or the repair rewrite path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,7 +15,6 @@
 #include <vector>
 
 #include "common/crc32.h"
-#include "core/chain_index.h"
 #include "core/clock_daemon.h"
 #include "core/horus.h"
 #include "core/logical_clocks.h"
@@ -241,75 +237,6 @@ TEST(ClockModesChaosTest, ChaosMatrixRowForRow) {
   }
 }
 
-// -- chain-decomposition reachability index ---------------------------------
-
-TEST(ChainIndexTest, AgreesWithVectorClocksOnRandomDag) {
-  const auto events = gen::random_execution(
-      {.num_processes = 6, .events_per_process = 25, .seed = 21});
-  auto horus = build(events, {});
-  const auto& clocks = horus->clocks();
-  const ChainIndex index(horus->graph(), clocks);
-  EXPECT_EQ(index.timeline_count(), clocks.timeline_count());
-  const auto n =
-      static_cast<graph::NodeId>(horus->graph().store().node_count());
-  for (graph::NodeId a = 0; a < n; ++a) {
-    for (graph::NodeId b = 0; b < n; ++b) {
-      ASSERT_EQ(index.happens_before(a, b), clocks.happens_before(a, b))
-          << "a=" << a << " b=" << b;
-    }
-  }
-}
-
-TEST(ChainIndexTest, AgreesOnSparseClocks) {
-  const auto events = gen::random_execution(
-      {.num_processes = 4, .events_per_process = 30, .seed = 33});
-  auto horus = build(events, {.clock_mode = ClockMode::kSparse,
-                              .keyframe_interval = 4});
-  const auto& clocks = horus->clocks();
-  const ChainIndex index(horus->graph(), clocks);
-  const auto n =
-      static_cast<graph::NodeId>(horus->graph().store().node_count());
-  for (graph::NodeId a = 0; a < n; ++a) {
-    for (graph::NodeId b = 0; b < n; ++b) {
-      ASSERT_EQ(index.happens_before(a, b), clocks.happens_before(a, b));
-    }
-  }
-}
-
-// The chain index as Q2 pruning oracle must keep the result byte-identical
-// to VC pruning, in both engines, sequential and fanned out.
-TEST(ChainIndexTest, Q2PruningMatchesVcOracle) {
-  for (const gen::ChaosScenario& scenario : gen::builtin_chaos_scenarios(5)) {
-    SCOPED_TRACE(scenario.name);
-    auto events = gen::microservice_topology(scenario.topology);
-    events = gen::cross_process_shuffle(events, scenario.topology.seed + 7);
-    auto horus = build(events, {});
-    const auto n =
-        static_cast<graph::NodeId>(horus->graph().store().node_count());
-    const ChainIndex index(horus->graph(), horus->clocks());
-    const auto pairs = q2_pairs(horus->clocks(), n, 3);
-    for (const unsigned threads : {1u, 8u}) {
-      QueryOptions vc_opts;
-      vc_opts.threads = threads;
-      vc_opts.min_parallel_items = 1;
-      QueryOptions chain_opts = vc_opts;
-      chain_opts.chain_index = &index;
-      const auto vc_engine = horus->query(vc_opts);
-      const auto chain_engine = horus->query(chain_opts);
-      for (const auto& [a, b] : pairs) {
-        const auto want = vc_engine.get_causal_graph(a, b);
-        const auto got = chain_engine.get_causal_graph(a, b);
-        EXPECT_EQ(want.nodes, got.nodes)
-            << "threads=" << threads << " a=" << a << " b=" << b;
-        EXPECT_EQ(want.edges, got.edges);
-        const auto trav = chain_engine.get_causal_graph_traversal(a, b);
-        EXPECT_EQ(want.nodes, trav.nodes);
-        EXPECT_EQ(want.edges, trav.edges);
-      }
-    }
-  }
-}
-
 // -- repair / incremental paths ---------------------------------------------
 
 // Sparse repair must rewrite delta windows in place (or spill to overflow)
@@ -365,6 +292,149 @@ TEST(ClockModesRepairTest, SparseIncrementalMatchesOneShot) {
   expect_equivalent_by_event(oneshot->clocks(), oneshot->graph(),
                              incremental->clocks(), incremental->graph(),
                              events);
+}
+
+// -- lanes whose timeline predecessor is not a graph predecessor -----------
+//
+// The separate ExecutionGraph::add_event / add_intra_edge calls let a
+// timeline's events be assigned before the chain edge between them exists.
+// Timeline A below gets x (position 1) and y (position 2) with no edge
+// between them, so y's lane base x may hold components y never heard of.
+
+graph::NodeId add_log(ExecutionGraph& graph, std::uint64_t id,
+                      const std::string& timeline) {
+  Event event;
+  event.id = EventId{id};
+  event.type = EventType::kLog;
+  event.thread = ThreadRef{timeline, 1, 1};
+  event.service = timeline;
+  event.timestamp = static_cast<TimeNs>(id);
+  event.payload = LogPayload{"m", "test"};
+  return graph.add_event(event, timeline);
+}
+
+// x heard of B, y did not: a delta of y over x would read B back in.
+TEST(ClockModesLaneBaseTest, BaseAboveTheNewClockBecomesKeyframe) {
+  ExecutionGraph graphs[2];
+  LogicalClockAssigner flat(graphs[0], {.mode = ClockMode::kFlat});
+  LogicalClockAssigner sparse(graphs[1], {.mode = ClockMode::kSparse});
+  graph::NodeId b1 = 0, y = 0;
+  for (ExecutionGraph& graph : graphs) {
+    b1 = add_log(graph, 1, "B");
+    add_log(graph, 2, "C");
+    add_log(graph, 3, "A");  // x
+    graph.add_inter_edge(EventId{1}, EventId{3});
+    graph.add_inter_edge(EventId{2}, EventId{3});
+  }
+  flat.assign();
+  sparse.assign();
+  for (ExecutionGraph& graph : graphs) {
+    y = add_log(graph, 4, "A");
+    graph.add_inter_edge(EventId{2}, EventId{4});
+  }
+  flat.assign();
+  sparse.assign();
+  ASSERT_EQ(sparse.clocks().position(y), 2);
+  EXPECT_FALSE(sparse.clocks().happens_before(b1, y));
+  expect_same_assignment(flat.clocks(), sparse.clocks(), 4);
+  // From scratch, still without the chain edge.
+  flat.reassign_all();
+  sparse.reassign_all();
+  expect_same_assignment(flat.clocks(), sparse.clocks(), 4);
+  expect_same_order(flat.clocks(), sparse.clocks(), 4, 1);
+}
+
+// y dominates x, so y is stored as a delta over x. A late edge d1 -> x then
+// raises x; repair() must re-encode y whether y lies outside the closure or
+// inside it but recomputed before x.
+TEST(ClockModesLaneBaseTest, RepairReencodesTheLaneSuccessor) {
+  for (const bool y_dirty : {false, true}) {
+    SCOPED_TRACE(y_dirty ? "y recomputed first" : "y outside the closure");
+    ExecutionGraph graphs[2];
+    LogicalClockAssigner flat(graphs[0], {.mode = ClockMode::kFlat});
+    LogicalClockAssigner sparse(graphs[1], {.mode = ClockMode::kSparse});
+    graph::NodeId x = 0, y = 0, d1 = 0;
+    for (ExecutionGraph& graph : graphs) {
+      add_log(graph, 1, "B");
+      add_log(graph, 2, "C");
+      x = add_log(graph, 3, "A");
+      graph.add_inter_edge(EventId{2}, EventId{3});
+    }
+    flat.assign();
+    sparse.assign();
+    for (ExecutionGraph& graph : graphs) {
+      y = add_log(graph, 4, "A");
+      graph.add_inter_edge(EventId{1}, EventId{4});
+      graph.add_inter_edge(EventId{2}, EventId{4});
+    }
+    flat.assign();
+    sparse.assign();
+    for (ExecutionGraph& graph : graphs) {
+      d1 = add_log(graph, 5, "D");
+      add_log(graph, 6, "E");
+    }
+    flat.assign();
+    sparse.assign();
+    std::vector<graph::NodeId> roots{x};
+    for (ExecutionGraph& graph : graphs) {
+      graph.add_inter_edge(EventId{5}, EventId{3});
+      if (y_dirty) graph.add_inter_edge(EventId{6}, EventId{4});
+    }
+    // Kahn over unrelated roots recomputes the last one first.
+    if (y_dirty) roots.push_back(y);
+    const auto flat_repair = flat.repair(roots);
+    const auto sparse_repair = sparse.repair(roots);
+    ASSERT_EQ(sparse_repair.recomputed, flat_repair.recomputed);
+    ASSERT_EQ(sparse.clocks().position(y), 2);
+    EXPECT_FALSE(sparse.clocks().happens_before(d1, y));
+    expect_same_assignment(flat.clocks(), sparse.clocks(), 6);
+    expect_same_order(flat.clocks(), sparse.clocks(), 6, 1);
+  }
+}
+
+// Lane A holds x, y, z: y is a delta over x (chain edge x -> y), z a delta
+// over y (no edge y -> z). A late edge b1 -> x dirties x and y, and Kahn
+// recomputes x first. Raising x's record must not let z's walk pick up B,
+// neither before y is recomputed nor through it.
+TEST(ClockModesLaneBaseTest, RepairKeepsDeltasBelowAPendingSuccessorExact) {
+  ExecutionGraph graphs[2];
+  LogicalClockAssigner flat(graphs[0], {.mode = ClockMode::kFlat});
+  LogicalClockAssigner sparse(graphs[1], {.mode = ClockMode::kSparse});
+  graph::NodeId b1 = 0, x = 0, y = 0, z = 0;
+  const auto assign_both = [&] {
+    flat.assign();
+    sparse.assign();
+  };
+  for (ExecutionGraph& graph : graphs) {
+    b1 = add_log(graph, 1, "B");
+    add_log(graph, 2, "C");
+    x = add_log(graph, 3, "A");
+    graph.add_inter_edge(EventId{2}, EventId{3});
+  }
+  assign_both();
+  for (ExecutionGraph& graph : graphs) {
+    y = add_log(graph, 4, "A");
+    graph.add_intra_edge(EventId{3}, EventId{4});
+  }
+  assign_both();
+  for (ExecutionGraph& graph : graphs) {
+    z = add_log(graph, 5, "A");
+    graph.add_inter_edge(EventId{2}, EventId{5});
+  }
+  assign_both();
+  ASSERT_EQ(sparse.clocks().position(z), 3);
+  for (ExecutionGraph& graph : graphs) {
+    graph.add_inter_edge(EventId{1}, EventId{3});
+  }
+  const std::vector<graph::NodeId> roots{x};
+  const auto flat_repair = flat.repair(roots);
+  const auto sparse_repair = sparse.repair(roots);
+  ASSERT_EQ(sparse_repair.recomputed, flat_repair.recomputed);
+  ASSERT_EQ(sparse_repair.recomputed, (std::vector<graph::NodeId>{x, y}));
+  EXPECT_TRUE(sparse.clocks().happens_before(b1, y));
+  EXPECT_FALSE(sparse.clocks().happens_before(b1, z));
+  expect_same_assignment(flat.clocks(), sparse.clocks(), 5);
+  expect_same_order(flat.clocks(), sparse.clocks(), 5, 1);
 }
 
 // -- HORUSVC2 serialization -------------------------------------------------

@@ -1,10 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <stdexcept>
+#include <string>
+
+#include "common/atomic_file.h"
 #include "common/diag.h"
+#include "common/error.h"
 #include "common/ids.h"
 #include "common/rng.h"
 #include "common/sim_clock.h"
 #include "common/string_util.h"
+#include "test_dir.h"
 
 namespace horus {
 namespace {
@@ -185,6 +194,46 @@ TEST(DiagTest, OffIsNotAnEmissionLevel) {
 
   reset_diag_counts();
   set_diag_level(saved);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(AtomicFileTest, ReplacesTheFileAndLeavesNoTemp) {
+  const TestDir dir;
+  const std::string path = dir.file("f");
+  write_file_atomic(path, [](std::ostream& out) { out << "one"; });
+  write_file_atomic(path, [](std::ostream& out) { out << "two"; });
+  EXPECT_EQ(read_file(path), "two");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST(AtomicFileTest, FailuresKeepThePreviousFile) {
+  const TestDir dir;
+  const std::string path = dir.file("f");
+  write_file_atomic(path, [](std::ostream& out) { out << "good"; });
+  // The writer itself throws: its exception propagates unchanged.
+  EXPECT_THROW(write_file_atomic(path,
+                                 [](std::ostream& out) {
+                                   out << "torn";
+                                   throw std::runtime_error("writer");
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(read_file(path), "good");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  // The temp file cannot be created.
+  EXPECT_THROW(write_file_atomic(dir.file("missing/f"),
+                                 [](std::ostream& out) { out << "x"; }),
+               HorusError);
+  // The rename fails: the target is a non-empty directory.
+  std::filesystem::create_directories(dir.file("d/sub"));
+  EXPECT_THROW(write_file_atomic(dir.file("d"),
+                                 [](std::ostream& out) { out << "x"; }),
+               HorusError);
+  EXPECT_TRUE(std::filesystem::is_directory(dir.file("d/sub")));
+  EXPECT_FALSE(std::filesystem::exists(dir.file("d.tmp")));
 }
 
 }  // namespace

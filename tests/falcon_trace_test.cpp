@@ -2,10 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "baselines/falcon_solver.h"
 #include "gen/synthetic.h"
+#include "test_dir.h"
 
 namespace horus::baselines {
 namespace {
@@ -57,16 +56,14 @@ TEST(FalconTraceTest, RoundTripsAllPayloadKinds) {
 }
 
 TEST(FalconTraceTest, FileRoundTrip) {
-  const auto path =
-      (std::filesystem::temp_directory_path() / "falcon_trace_test.jsonl")
-          .string();
+  const TestDir dir;
+  const std::string path = dir.file("trace.jsonl");
   gen::ClientServerOptions options;
   options.num_events = 40;
   const auto events = gen::client_server_events(options);
   write_falcon_trace(events, path);
   const auto back = read_falcon_trace(path);
   EXPECT_EQ(back.size(), events.size());
-  std::filesystem::remove(path);
 }
 
 TEST(FalconTraceTest, ExportedTraceDrivesTheSolver) {

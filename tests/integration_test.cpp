@@ -13,6 +13,7 @@
 #include "core/validator.h"
 #include "gen/synthetic.h"
 #include "graph/traversal.h"
+#include "test_dir.h"
 #include "tracer/message_io.h"
 #include "tracer/sim_kernel.h"
 
@@ -23,10 +24,8 @@ TEST(DeploymentIntegrationTest, KernelProbesPlusShippedLogFiles) {
   // A Filebeat-style deployment: the application writes Log4j JSON lines to
   // per-host files; kernel probes stream directly. Both sources converge in
   // one Horus instance and form a consistent causal graph.
-  const auto dir =
-      std::filesystem::temp_directory_path() / "horus_integration_test";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const TestDir scratch;
+  const std::filesystem::path& dir = scratch.path();
 
   Horus horus;
   TracerAdapter tracer_adapter(0, horus.sink());
@@ -98,8 +97,6 @@ TEST(DeploymentIntegrationTest, KernelProbesPlusShippedLogFiles) {
   EXPECT_TRUE(q.happens_before(sending, served));
   EXPECT_TRUE(q.happens_before(served, reply));
   EXPECT_FALSE(q.happens_before(reply, sending));
-
-  std::filesystem::remove_all(dir);
 }
 
 /// A Figure-3-style fixture: three process timelines with cross edges, used

@@ -12,7 +12,6 @@
 // lower.
 #include <algorithm>
 #include <cstdint>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <utility>
@@ -29,40 +28,29 @@
 #include "query/evaluator.h"
 #include "query/parser.h"
 #include "query/planner.h"
+#include "test_dir.h"
 
 namespace horus {
 namespace {
 
-namespace fs = std::filesystem;
-
 /// One monolithic + one segmented Horus over the same event stream.
 struct Pair {
+  std::unique_ptr<TestDir> spill;  // outlives the segmented store
   std::unique_ptr<Horus> mono;
   std::unique_ptr<Horus> seg;
   graph::SegmentManager* segments = nullptr;
-  std::string spill_dir;
-
-  Pair() = default;
-  Pair(Pair&&) = default;
-  Pair& operator=(Pair&&) = delete;
-  ~Pair() {
-    if (!spill_dir.empty()) fs::remove_all(spill_dir);
-  }
 };
 
 Pair build_pair(const gen::TopologyOptions& topology, const std::string& tag) {
   Pair p;
   p.mono = std::make_unique<Horus>();
   p.seg = std::make_unique<Horus>();
-  p.spill_dir =
-      (fs::path(::testing::TempDir()) / ("horus-plandiff-" + tag)).string();
-  fs::remove_all(p.spill_dir);
-  fs::create_directories(p.spill_dir);
+  p.spill = std::make_unique<TestDir>(tag);
 
   graph::SegmentOptions options;
   options.nodes_per_segment = 24;
   options.shard_count = 3;
-  options.spill_dir = p.spill_dir;
+  options.spill_dir = p.spill->str();
   options.auto_evict = false;
   p.segments = &enable_segments(p.seg->graph(), options);
 

@@ -6,14 +6,19 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "common/diag.h"
+#include "common/error.h"
 #include "core/horus.h"
 #include "core/logical_clocks.h"
 #include "core/pipeline.h"
 #include "gen/synthetic.h"
 #include "queue/fault.h"
+#include "test_dir.h"
 
 namespace horus {
 namespace {
@@ -122,9 +127,8 @@ PipelineOptions small_pipeline_options() {
 // arrives only in the next incarnation. With a WAL directory the pending
 // SND survives and the HB edge is produced.
 TEST(DurablePairingTest, PendingPairSurvivesInterWorkerRestart) {
-  const std::string wal_dir =
-      (fs::path(::testing::TempDir()) / "horus-wal-pairing").string();
-  fs::remove_all(wal_dir);
+  const TestDir dir;
+  const std::string wal_dir = dir.str();
 
   queue::Broker broker;
   ExecutionGraph graph;
@@ -161,6 +165,31 @@ TEST(DurablePairingTest, PendingPairSurvivesInterWorkerRestart) {
   const graph::Edge edge = graph.store().out_edges(*snd)[0];
   EXPECT_EQ(edge.to, *rcv);
   EXPECT_EQ(graph.store().edge_type_name(edge.type), "HB");
+}
+
+// A spill write that fails must leave the last good spill as it was. The
+// temp file is a symlink to /dev/full, so every write through it fails
+// with ENOSPC without touching any machine setting.
+TEST(DurablePairingTest, FailedSpillKeepsThePreviousFile) {
+  const TestDir dir;
+  const std::string wal = dir.file("inter-0.wal");
+  const std::vector<Event> events =
+      gen::client_server_events(gen::ClientServerOptions{.num_events = 20});
+  write_pending_wal(wal, {events.begin(), events.begin() + 4});
+  const auto read_bytes = [&] {
+    std::ifstream in(wal, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string before = read_bytes();
+
+  fs::create_symlink("/dev/full", wal + ".tmp");
+  EXPECT_THROW(write_pending_wal(wal, events), HorusError);
+  // Checked first: a spill renamed over the file would make it a symlink
+  // to /dev/full, which reads endless zeros.
+  ASSERT_FALSE(fs::is_symlink(wal));
+  EXPECT_EQ(read_bytes(), before);
+  EXPECT_EQ(read_pending_wal(wal).size(), 4u);
+  EXPECT_FALSE(fs::exists(fs::symlink_status(wal + ".tmp")));
 }
 
 // Negative control: without a WAL directory the restart loses the pending
@@ -254,8 +283,7 @@ void expect_equivalent(ExecutionGraph& actual, ExecutionGraph& expected,
   }
 }
 
-void run_equivalence_case(const std::vector<Event>& events,
-                          const std::string& wal_tag) {
+void run_equivalence_case(const std::vector<Event>& events) {
   // Reference: the synchronous embedded pipeline, no faults.
   Horus embedded;
   for (const Event& e : events) embedded.ingest(e);
@@ -263,9 +291,8 @@ void run_equivalence_case(const std::vector<Event>& events,
 
   // Distributed pipeline under crashes, duplicates, redeliveries, stalls
   // and transient failures, with the durable pairing spill enabled.
-  const std::string wal_dir =
-      (fs::path(::testing::TempDir()) / ("horus-wal-" + wal_tag)).string();
-  fs::remove_all(wal_dir);
+  const TestDir dir;
+  const std::string wal_dir = dir.str();
 
   queue::Broker broker;
   queue::FaultPlan plan;
@@ -306,7 +333,7 @@ void run_equivalence_case(const std::vector<Event>& events,
 TEST(CrashRecoveryEquivalenceTest, ClientServerWorkload) {
   gen::ClientServerOptions options;
   options.num_events = 2000;
-  run_equivalence_case(gen::client_server_events(options), "cs");
+  run_equivalence_case(gen::client_server_events(options));
 }
 
 TEST(CrashRecoveryEquivalenceTest, RandomExecutionWorkload) {
@@ -314,7 +341,7 @@ TEST(CrashRecoveryEquivalenceTest, RandomExecutionWorkload) {
   options.num_processes = 6;
   options.events_per_process = 200;
   options.seed = 11;
-  run_equivalence_case(gen::random_execution(options), "rand");
+  run_equivalence_case(gen::random_execution(options));
 }
 
 // WAL recovery composed with duplicated redelivery: the first incarnation
@@ -333,9 +360,8 @@ TEST(DurablePairingTest, CrashRestartWithRedeliveredOffsetsIsIdempotent) {
   for (const Event& e : events) embedded.ingest(e);
   embedded.seal();
 
-  const std::string wal_dir =
-      (fs::path(::testing::TempDir()) / "horus-wal-redeliver").string();
-  fs::remove_all(wal_dir);
+  const TestDir dir;
+  const std::string wal_dir = dir.str();
 
   queue::Broker broker;
   queue::FaultPlan plan;
@@ -419,9 +445,8 @@ TEST(BrokerRobustnessTest, CommitToUnknownTopicWarnsButRecords) {
 }
 
 TEST(BrokerRobustnessTest, LoadReusesExistingTopicObjects) {
-  const std::string dir =
-      (fs::path(::testing::TempDir()) / "horus-broker-reload").string();
-  fs::remove_all(dir);
+  const TestDir scratch;
+  const std::string dir = scratch.str();
 
   queue::Broker broker;
   queue::Topic& topic = broker.create_topic("t", 2);

@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -25,12 +24,13 @@
 #include "common/rng.h"
 #include "core/horus.h"
 #include "gen/topology.h"
+#include "graph/segment.h"
 #include "queue/broker.h"
+#include "test_dir.h"
 
 namespace horus {
 namespace {
 
-namespace fs = std::filesystem;
 
 constexpr int kSeeds = 50;
 /// Kill points of the segmented sweep (ISSUE: >= 25 seeded kill points).
@@ -50,6 +50,12 @@ struct EdgeTriple {
 std::vector<EdgeTriple> edge_triples(const ExecutionGraph& graph) {
   std::vector<EdgeTriple> triples;
   const auto& store = graph.store();
+  // A running service keeps evicting segments to its budget; the hold keeps
+  // the adjacency spans read below alive (graph/segment.h).
+  graph::SegmentManager::ReadHold hold;
+  if (const graph::SegmentManager* segments = store.segments()) {
+    hold = segments->read_hold();
+  }
   for (graph::NodeId v = 0; v < store.node_count(); ++v) {
     for (const graph::Edge& e : store.out_edges(v)) {
       triples.push_back(EdgeTriple{value_of(graph.event_of(v)),
@@ -138,17 +144,8 @@ void run_seed(std::uint64_t seed, const SegmentKnobs& knobs = {}) {
           ? 0
           : rng.uniform(0, static_cast<std::int64_t>(kill_at) - 1));
 
-  // The sweeps share seeds and may run in parallel (ctest -j): the test
-  // name keeps their data directories apart.
-  const std::string data_dir =
-      (fs::path(::testing::TempDir()) /
-       ("horus-recovery-" +
-        std::string(::testing::UnitTest::GetInstance()
-                        ->current_test_info()
-                        ->name()) +
-        "-" + std::to_string(seed)))
-          .string();
-  fs::remove_all(data_dir);
+  const TestDir dir("seed" + std::to_string(seed));
+  const std::string data_dir = dir.str();
 
   queue::Broker broker;
   {
@@ -222,7 +219,6 @@ void run_seed(std::uint64_t seed, const SegmentKnobs& knobs = {}) {
   });
 
   daemon.stop();
-  fs::remove_all(data_dir);
 }
 
 TEST(ServiceRecoveryTest, RestoredGraphConvergesAcrossFiftyKillPoints) {

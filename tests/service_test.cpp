@@ -22,18 +22,12 @@
 #include "gen/synthetic.h"
 #include "service/checkpoint.h"
 #include "service/overload.h"
+#include "test_dir.h"
 
 namespace horus {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string temp_dir(const std::string& tag) {
-  const std::string dir =
-      (fs::path(::testing::TempDir()) / ("horus-service-" + tag)).string();
-  fs::remove_all(dir);
-  return dir;
-}
 
 std::vector<Event> workload(std::size_t n = 600) {
   gen::ClientServerOptions options;
@@ -240,7 +234,8 @@ TEST(OverloadControllerTest, HysteresisBandHoldsLevelAndResetsStreak) {
 // ---------------------------------------------------------------------------
 
 TEST(ServiceAdmissionTest, GateBoundsConcurrentSessions) {
-  const std::string data_dir = temp_dir("admission");
+  const TestDir dir;
+  const std::string data_dir = dir.str();
   queue::Broker broker;
   ExecutionGraph graph;
   service::ServiceOptions options = fast_service_options(data_dir);
@@ -264,7 +259,8 @@ TEST(ServiceAdmissionTest, GateBoundsConcurrentSessions) {
 }
 
 TEST(ServiceAdmissionTest, QueriesAnswerThroughAdmittedSessions) {
-  const std::string data_dir = temp_dir("queries");
+  const TestDir dir;
+  const std::string data_dir = dir.str();
   queue::Broker broker;
   ExecutionGraph graph;
   service::HorusService daemon(broker, graph,
@@ -308,7 +304,8 @@ TEST(ServiceAdmissionTest, QueriesAnswerThroughAdmittedSessions) {
 }
 
 TEST(ServiceAdmissionTest, DegradedModeRejectsExpensivePlansUpFront) {
-  const std::string data_dir = temp_dir("plan-admission");
+  const TestDir dir;
+  const std::string data_dir = dir.str();
   queue::Broker broker;
   ExecutionGraph graph;
   service::ServiceOptions options = fast_service_options(data_dir);
@@ -354,7 +351,8 @@ TEST(ServiceAdmissionTest, DegradedModeRejectsExpensivePlansUpFront) {
 }
 
 TEST(ServiceBackpressureTest, StuckPipelineSurfacesTypedOverloadError) {
-  const std::string data_dir = temp_dir("backpressure");
+  const TestDir dir;
+  const std::string data_dir = dir.str();
   queue::Broker broker;
   ExecutionGraph graph;
   service::ServiceOptions options = fast_service_options(data_dir);
@@ -374,7 +372,8 @@ TEST(ServiceBackpressureTest, StuckPipelineSurfacesTypedOverloadError) {
 // ---------------------------------------------------------------------------
 
 TEST(ServiceCheckpointTest, GracefulRestartRestoresTheFinalCheckpoint) {
-  const std::string data_dir = temp_dir("graceful");
+  const TestDir dir;
+  const std::string data_dir = dir.str();
   const auto events = workload();
   queue::Broker broker;
 
@@ -411,7 +410,8 @@ TEST(ServiceCheckpointTest, GracefulRestartRestoresTheFinalCheckpoint) {
 // restarted incarnation (even one whose own default is flat) adopts the
 // sparse table and keeps serving identical clocks.
 TEST(ServiceCheckpointTest, SparseModeRestartRestoresSparseClocks) {
-  const std::string data_dir = temp_dir("sparse-restart");
+  const TestDir dir;
+  const std::string data_dir = dir.str();
   const auto events = workload();
   queue::Broker broker;
   {
@@ -456,7 +456,8 @@ TEST(ServiceCheckpointTest, SparseModeRestartRestoresSparseClocks) {
 // the restore with the *typed* ClockFormatError ("upgrade the binary"),
 // not a generic corruption error.
 TEST(ServiceCheckpointTest, FutureClockFormatVersionFailsTyped) {
-  const std::string data_dir = temp_dir("clock-version");
+  const TestDir dir;
+  const std::string data_dir = dir.str();
   queue::Broker broker;
   {
     ExecutionGraph graph;
@@ -500,7 +501,8 @@ TEST(ServiceCheckpointTest, FutureClockFormatVersionFailsTyped) {
 }
 
 TEST(ServiceCheckpointTest, RestoreRequiresAnEmptyGraph) {
-  const std::string data_dir = temp_dir("nonempty");
+  const TestDir dir;
+  const std::string data_dir = dir.str();
   queue::Broker broker;
   ExecutionGraph graph;
   {
@@ -517,7 +519,8 @@ TEST(ServiceCheckpointTest, RestoreRequiresAnEmptyGraph) {
 }
 
 TEST(ServiceCheckpointTest, TruncatedGraphSnapshotFailsTyped) {
-  const std::string data_dir = temp_dir("truncated");
+  const TestDir dir;
+  const std::string data_dir = dir.str();
   queue::Broker broker;
   {
     ExecutionGraph graph;
@@ -553,8 +556,45 @@ TEST(ServiceCheckpointTest, TruncatedGraphSnapshotFailsTyped) {
   EXPECT_THROW(daemon.start(), HorusError);
 }
 
+// A restore trusts the checkpointed clocks of nodes in evicted segments
+// without auditing their edges again, so the clock table must describe the
+// same cut as the graph. Here the periodic tick never runs after start, yet
+// the checkpoint carries clocks for every event, equal to a fresh run's.
+TEST(ServiceCheckpointTest, CheckpointClocksDescribeTheGraphCut) {
+  const TestDir dir;
+  const std::string data_dir = dir.str();
+  const auto events = workload(200);
+  queue::Broker broker;
+  service::ServiceOptions options = fast_service_options(data_dir);
+  options.clock_interval_ms = 3'600'000;
+  {
+    ExecutionGraph graph;
+    service::HorusService daemon(broker, graph, options);
+    daemon.start();
+    for (const Event& e : events) daemon.publish(e);
+    ASSERT_TRUE(daemon.pipeline().drain());
+    daemon.checkpoint_now();
+    daemon.kill();
+  }
+  const service::CheckpointStore store(
+      service::CheckpointOptions{data_dir + "/checkpoints"});
+  ExecutionGraph graph;
+  const service::CheckpointStore::Restored restored =
+      store.restore(graph, dir.file("wal"));
+  const auto reference = reference_run(events);
+  ASSERT_EQ(graph.event_count(), events.size());
+  for (const Event& e : events) {
+    const graph::NodeId v = *graph.node_of(e.id);
+    ASSERT_TRUE(restored.clocks.assigned(v)) << "event " << value_of(e.id);
+    EXPECT_EQ(restored.clocks.lamport(v),
+              reference->clocks().lamport(*reference->node_of(e.id)))
+        << "event " << value_of(e.id);
+  }
+}
+
 TEST(ServiceCheckpointTest, CorruptManifestFailsTyped) {
-  const std::string data_dir = temp_dir("manifest");
+  const TestDir dir;
+  const std::string data_dir = dir.str();
   queue::Broker broker;
   {
     ExecutionGraph graph;
@@ -576,7 +616,8 @@ TEST(ServiceCheckpointTest, CorruptManifestFailsTyped) {
 }
 
 TEST(ServiceCheckpointTest, EpochRetentionKeepsOnlyTheWindow) {
-  const std::string data_dir = temp_dir("retention");
+  const TestDir dir;
+  const std::string data_dir = dir.str();
   queue::Broker broker;
   ExecutionGraph graph;
   service::ServiceOptions options = fast_service_options(data_dir);
